@@ -1,17 +1,19 @@
 //! Bench: snapshot publishing — the sharded copy-on-write store versus
-//! the clone-the-world oracle, as the register space grows 64 → 16384.
+//! a clone-the-world publish, as the register space grows 64 → 16384.
 //!
-//! `StoreMode::Clone` materialises every publish as a full copy of the
-//! register map: O(store). `StoreMode::Cow` republishes `Arc`s for
-//! untouched shards and rebuilds only what changed since the last
-//! publish: O(Δ). The steady-state case measured here is the replica
-//! loop's — one write dirties one shard, then the view is captured —
-//! so the clone/cow gap at 16384 registers is the direct cost the
-//! pipelined loop's per-burst publish avoids.
+//! The `clone` arm materialises every publish as a full copy of the
+//! register map and its provenance (`CowStore::flat_store` /
+//! `flat_src`): O(store), the cost of the store the runtime used before
+//! sharding. The `cow` arm is the runtime's own publish
+//! (`ReplicaView::capture`), which republishes `Arc`s for untouched
+//! shards and rebuilds only what changed since the last publish: O(Δ).
+//! The steady-state case measured here is the replica loop's — one write
+//! dirties one shard, then the view is captured — so the clone/cow gap
+//! at 16384 registers is the direct cost the per-burst publish avoids.
 
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use prcc_core::runtime::ReplicaView;
-use prcc_core::{CausalityTracker, EdgeTracker, Replica, StoreMode, Value};
+use prcc_core::{CausalityTracker, EdgeTracker, Replica, Value};
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId, TimestampGraphs};
 use prcc_timestamp::TsRegistry;
 use std::sync::Arc;
@@ -48,11 +50,8 @@ fn bench_publish(c: &mut Criterion) {
         // provenance).
         group.bench_with_input(BenchmarkId::new("clone", k), &k, |b, _| {
             b.iter(|| {
-                black_box(ReplicaView::capture(
-                    &replica,
-                    StoreMode::Clone,
-                    frontier.clone(),
-                ))
+                let store = replica.store_cow();
+                black_box((store.flat_store(), store.flat_src(), frontier.clone()))
             })
         });
 
@@ -61,7 +60,7 @@ fn bench_publish(c: &mut Criterion) {
         // shard clones), and the view is captured — the replica loop's
         // write → publish cycle.
         group.bench_with_input(BenchmarkId::new("cow", k), &k, |b, _| {
-            let mut prev = ReplicaView::capture(&replica, StoreMode::Cow, frontier.clone());
+            let mut prev = ReplicaView::capture(&replica, frontier.clone());
             let mut i = 0u64;
             b.iter(|| {
                 replica
@@ -72,7 +71,7 @@ fn bench_publish(c: &mut Criterion) {
                     )
                     .expect("rewrite stays stored");
                 i += 1;
-                prev = ReplicaView::capture(&replica, StoreMode::Cow, frontier.clone());
+                prev = ReplicaView::capture(&replica, frontier.clone());
                 black_box(&prev);
             })
         });

@@ -70,7 +70,7 @@ pub use serving::{
     Collected, ServingConfig, ServingError, ServingStats, ServingTier, ServingWorker,
 };
 pub use stats::LatencyStats;
-pub use store_cow::{CowStore, Entry, SharedShards, StoreMode};
+pub use store_cow::{CowStore, Entry, SharedShards};
 pub use system::{BatchPolicy, System, SystemBuilder, SystemMetrics, TrackerKind};
 pub use tracker::{CausalityTracker, EdgeTracker, FullDepsTracker, ReadyCheck, VcTracker};
 pub use value::Value;

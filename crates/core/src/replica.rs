@@ -221,22 +221,6 @@ impl Replica {
         self.store.get(x)
     }
 
-    /// A full clone of the local store. The threaded runtime's
-    /// [`StoreMode::Clone`](crate::StoreMode) oracle publishes this as
-    /// an immutable read snapshot after every state change; the default
-    /// COW path shares shards via [`Replica::store_cow`] instead.
-    pub fn store_snapshot(&self) -> HashMap<RegisterId, Value> {
-        self.store.flat_store()
-    }
-
-    /// Per-register provenance: the update whose value each stored
-    /// register currently holds. Registers written through the routed
-    /// protocol's payload path ([`Replica::store_local`]) have no entry —
-    /// their producing update is not known to this replica.
-    pub fn store_src(&self) -> HashMap<RegisterId, UpdateId> {
-        self.store.flat_src()
-    }
-
     /// The sharded copy-on-write store itself — the threaded runtime
     /// publishes O(Δ) snapshots from it via [`CowStore::share`].
     pub fn store_cow(&self) -> &CowStore {

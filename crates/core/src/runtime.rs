@@ -32,13 +32,26 @@
 //! Client command channels are *bounded*
 //! ([`ClusterConfig::channel_depth`]): a flooded replica thread exerts
 //! backpressure on writers instead of growing an unbounded queue.
+//!
+//! # One replica loop
+//!
+//! Every replica runs one loop (`replica_loop`): it drains client
+//! commands, applies decoded batches through the `J` predicate, and
+//! publishes. Its I/O half — wire codec, per-destination batches,
+//! session endpoint, transport, and one `pump` step over all of them —
+//! runs where the durability setting puts it. With a WAL armed
+//! ([`ClusterConfig::durability`]) it runs on the apply thread, because
+//! the log must record own writes, sends and deliveries in execution
+//! order; crash and restart exist only then. Without one it runs on a
+//! dedicated `io-N` thread behind bounded channels, keeping encode and
+//! decode off the apply thread.
 
 use crate::codec::{WireCodec, WireMode};
 use crate::message::{BatchMsg, UpdateMsg};
 use crate::netframe::cluster_codec;
 use crate::recovery::RecoveryLog;
 use crate::replica::Replica;
-use crate::store_cow::{SharedShards, StoreMode};
+use crate::store_cow::{CowStore, SharedShards};
 use crate::system::BatchPolicy;
 use crate::tracker::{CausalityTracker, EdgeTracker};
 use crate::value::Value;
@@ -46,8 +59,8 @@ use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendErr
 use parking_lot::{Mutex, RwLock};
 use prcc_checker::{check, CheckReport, Trace, UpdateId};
 use prcc_net::{
-    BoundListener, DelayModel, FaultPlan, FaultSchedule, SessionConfig, SessionEndpoint,
-    SessionFrame, TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport,
+    BoundListener, DelayModel, FaultSchedule, SessionConfig, SessionEndpoint, SessionFrame,
+    TcpEndpoint, TcpNetConfig, TcpStatsSnapshot, ThreadNet, Transport,
 };
 use prcc_sharegraph::{LoopConfig, RegisterId, ReplicaId, ShareGraph, TimestampGraphs};
 use prcc_timestamp::TsRegistry;
@@ -69,13 +82,11 @@ const TICK: Duration = Duration::from_micros(200);
 pub struct ClusterConfig {
     /// Per-recipient metadata wire mode.
     pub wire: WireMode,
-    /// Router fault plan (drops / duplicates).
-    pub faults: FaultPlan,
-    /// Scripted fault schedule: link outages are enforced by the router
-    /// (ticks of 200 µs from cluster construction) and crash/restart
-    /// events are injected as commands by a driver thread walking
-    /// [`FaultSchedule::crash_timeline`]. The schedule's embedded plan is
-    /// used only when [`faults`](ClusterConfig::faults) is benign.
+    /// Scripted fault schedule: the embedded plan's drops and duplicates
+    /// and the link outages are enforced by the router (ticks of 200 µs
+    /// from cluster construction); crash/restart events are injected as
+    /// commands by a fault-injection thread walking
+    /// [`FaultSchedule::crash_timeline`].
     pub schedule: FaultSchedule,
     /// Reliable-delivery session layer, if any.
     pub session: Option<SessionConfig>,
@@ -94,35 +105,22 @@ pub struct ClusterConfig {
     /// without a log would be permanent data loss); auto-armed at 1024
     /// when the schedule scripts crashes. Forces eager (unbatched)
     /// shipping so every acknowledged write reaches the durable outbox
-    /// before its ack — the ack-after-durable discipline.
+    /// before its ack — the ack-after-durable discipline. Also decides
+    /// where each replica's I/O half runs: on the apply thread with a
+    /// WAL, on its own `io-N` thread without one.
     pub durability: Option<usize>,
-    /// How publishes materialise snapshots: sharded copy-on-write
-    /// (O(Δ) per publish, the default) or the original clone-the-world
-    /// oracle ([`StoreMode::Clone`], O(store) per publish).
-    pub store: StoreMode,
-    /// Pipelines each replica loop into an apply thread plus an I/O
-    /// thread (encode / ship / session / decode off the critical path).
-    /// On by default; a replica falls back to the single-threaded inline
-    /// loop whenever durability is armed (the WAL must observe sends in
-    /// issue order), so every crash-bearing configuration runs inline
-    /// and piped crash commands are the same no-op the inline loop
-    /// performs without a WAL.
-    pub pipeline: bool,
 }
 
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
             wire: WireMode::default(),
-            faults: FaultPlan::default(),
             schedule: FaultSchedule::default(),
             session: None,
             batch: BatchPolicy::default(),
             channel_depth: 1024,
             ingress_depth: 4096,
             durability: None,
-            store: StoreMode::default(),
-            pipeline: true,
         }
     }
 }
@@ -170,15 +168,11 @@ pub(crate) enum WriteStatus {
 }
 
 enum Cmd {
-    Write {
-        register: RegisterId,
-        value: Value,
-        reply: Sender<UpdateId>,
-    },
-    /// A coalesced run of client writes from the serving tier: every op
-    /// is issued before the snapshot is republished once and any
-    /// completion token is released — one command, one publish, one
-    /// channel round trip for the whole run.
+    /// A run of client writes — one blocking write, a burst, or a
+    /// coalesced run from the serving tier: every op is issued before
+    /// the snapshot is republished once and any completion token is
+    /// released — one command, one publish, one channel round trip for
+    /// the whole run.
     WriteMany {
         ops: Vec<(u64, RegisterId, Value)>,
         reply: Sender<(u64, WriteStatus)>,
@@ -204,6 +198,27 @@ enum Cmd {
         done: Option<Sender<()>>,
     },
     Shutdown,
+}
+
+/// Issues `writes` at replica `r` as one [`Cmd::WriteMany`] and waits
+/// for every id, in issue order.
+fn write_many(
+    cmds: &Sender<Cmd>,
+    r: ReplicaId,
+    writes: Vec<(RegisterId, Value)>,
+) -> Result<Vec<UpdateId>, ClusterError> {
+    let n = writes.len();
+    let (reply, rx) = bounded(n.max(1));
+    let ops = (0u64..).zip(writes).map(|(k, (x, v))| (k, x, v)).collect();
+    cmds.send(Cmd::WriteMany { ops, reply })
+        .map_err(|_| ClusterError::Disconnected { replica: r })?;
+    (0..n)
+        .map(|_| match rx.recv() {
+            Ok((_, WriteStatus::Done(id))) => Ok(id),
+            Ok((_, WriteStatus::Crashed)) => Err(ClusterError::Crashed { replica: r }),
+            Err(_) => Err(ClusterError::Disconnected { replica: r }),
+        })
+        .collect()
 }
 
 /// One protocol event in a per-replica trace shard. The shard owner is
@@ -280,87 +295,51 @@ fn merge_shards(shards: &[Arc<TraceShard>]) -> Trace {
 /// update `u` on `x` can never still hold (or later revert to) a value
 /// of `x` causally older than `u` — so `covers` is a sufficient
 /// read-your-writes / monotonic-reads test that needs no replica lock.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct ReplicaView {
-    repr: ViewRepr,
+    /// The store's shard array, shared with the live [`CowStore`] until
+    /// the next write touches a shard (O(Δ) per publish).
+    shards: SharedShards,
     frontier: Vec<u64>,
 }
 
-/// How a published view holds its store. `Flat` is the
-/// [`StoreMode::Clone`] oracle (deep-cloned maps, O(store) to build);
-/// `Shards` is the default O(Δ) path sharing shard `Arc`s with the live
-/// [`CowStore`]. Readers can't tell them apart — same `get` /
-/// `source_of` / `covers` answers, same torn-read impossibility (both
-/// reprs are immutable once published).
-#[derive(Debug, Clone)]
-enum ViewRepr {
-    Flat {
-        store: HashMap<RegisterId, Value>,
-        src: HashMap<RegisterId, UpdateId>,
-    },
-    Shards(SharedShards),
-}
-
-impl Default for ViewRepr {
-    fn default() -> Self {
-        ViewRepr::Flat {
-            store: HashMap::new(),
-            src: HashMap::new(),
-        }
-    }
-}
-
 impl ReplicaView {
-    /// Captures `replica`'s store per `mode`, paired with the applied
-    /// frontier that vouches for it. This is the single publish
-    /// constructor: the threaded runtime, the lockstep oracle, and the
-    /// publish microbench all build views through it.
-    pub fn capture(replica: &Replica, mode: StoreMode, frontier: Vec<u64>) -> Self {
-        let repr = match mode {
-            StoreMode::Cow => ViewRepr::Shards(replica.store_cow().share()),
-            StoreMode::Clone => ViewRepr::Flat {
-                store: replica.store_snapshot(),
-                src: replica.store_src(),
-            },
-        };
-        ReplicaView { repr, frontier }
+    /// Captures `replica`'s store, paired with the applied frontier that
+    /// vouches for it. This is the single publish constructor: the
+    /// threaded runtime, the lockstep oracle, and the publish microbench
+    /// all build views through it.
+    pub fn capture(replica: &Replica, frontier: Vec<u64>) -> Self {
+        ReplicaView {
+            shards: replica.store_cow().share(),
+            frontier,
+        }
     }
 
     /// The published value of `x`, if any.
     pub fn get(&self, x: &RegisterId) -> Option<&Value> {
-        match &self.repr {
-            ViewRepr::Flat { store, .. } => store.get(x),
-            ViewRepr::Shards(s) => s.get(*x),
-        }
+        self.shards.get(*x)
     }
 
     /// The full published store, collected into a flat map.
     pub fn store(&self) -> HashMap<RegisterId, Value> {
-        match &self.repr {
-            ViewRepr::Flat { store, .. } => store.clone(),
-            ViewRepr::Shards(s) => s.iter().map(|(x, e)| (*x, e.value.clone())).collect(),
-        }
+        self.shards
+            .iter()
+            .map(|(x, e)| (*x, e.value.clone()))
+            .collect()
     }
 
     /// The update that produced the published value of `x` (absent for
     /// unwritten registers and routed-payload writes, whose producing
     /// update is unknown).
     pub fn source_of(&self, x: RegisterId) -> Option<UpdateId> {
-        match &self.repr {
-            ViewRepr::Flat { src, .. } => src.get(&x).copied(),
-            ViewRepr::Shards(s) => s.src_of(x),
-        }
+        self.shards.src_of(x)
     }
 
     /// `(aliased, total)` physically shared store shards between two
-    /// COW-published views; `None` unless both views were published by
-    /// the [`StoreMode::Cow`] path. The shard-aliasing non-vacuity test
-    /// uses this to prove consecutive publishes skip untouched shards.
-    pub fn shards_shared_with(&self, other: &ReplicaView) -> Option<(usize, usize)> {
-        match (&self.repr, &other.repr) {
-            (ViewRepr::Shards(a), ViewRepr::Shards(b)) => Some(a.shards_shared_with(b)),
-            _ => None,
-        }
+    /// published views. The shard-aliasing non-vacuity test uses this to
+    /// prove consecutive publishes skip untouched shards.
+    pub fn shards_shared_with(&self, other: &ReplicaView) -> (usize, usize) {
+        self.shards.shards_shared_with(&other.shards)
     }
 
     /// True if this view's issuer frontier includes update `u` — the
@@ -392,7 +371,7 @@ impl SnapshotCell {
     fn new(num_replicas: usize) -> Self {
         SnapshotCell {
             view: RwLock::new(Arc::new(ReplicaView {
-                repr: ViewRepr::default(),
+                shards: CowStore::new(0).share(),
                 frontier: vec![0; num_replicas],
             })),
             version: AtomicU64::new(0),
@@ -493,67 +472,19 @@ impl ThreadedCluster {
         Self::with_config(graph, delay, seed, ClusterConfig::default())
     }
 
-    /// Like [`ThreadedCluster::new`], with an explicit wire mode for the
-    /// per-recipient metadata codec.
-    pub fn new_with_wire(graph: ShareGraph, delay: DelayModel, seed: u64, wire: WireMode) -> Self {
-        Self::with_config(
-            graph,
-            delay,
-            seed,
-            ClusterConfig {
-                wire,
-                ..ClusterConfig::default()
-            },
-        )
-    }
-
-    /// A cluster over a lossy transport. The router rolls `faults` on
-    /// every frame; `session` (if given) arms a per-replica
-    /// [`SessionEndpoint`] whose retransmission timers run on wall-clock
-    /// milliseconds — pick `rto_base` comfortably above the delay
-    /// model's round trip (delay ticks are 200 µs each). Without a
-    /// session config, losses are permanent, exactly as in the simulated
-    /// [`System`](crate::System) without one.
-    pub fn new_faulty(
-        graph: ShareGraph,
-        delay: DelayModel,
-        seed: u64,
-        wire: WireMode,
-        faults: FaultPlan,
-        session: Option<SessionConfig>,
-    ) -> Self {
-        Self::with_config(
-            graph,
-            delay,
-            seed,
-            ClusterConfig {
-                wire,
-                faults,
-                session,
-                ..ClusterConfig::default()
-            },
-        )
-    }
-
-    /// Full-control constructor.
+    /// Full-control constructor over the in-process router. The
+    /// schedule's plan rolls drops and duplicates on every frame; a
+    /// [`SessionConfig`] arms per-replica endpoints whose retransmission
+    /// timers run on wall-clock milliseconds — pick `rto_base`
+    /// comfortably above the delay model's round trip (delay ticks are
+    /// 200 µs each). Without a session, losses are permanent, exactly as
+    /// in the simulated [`System`](crate::System) without one.
     pub fn with_config(
         graph: ShareGraph,
         delay: DelayModel,
         seed: u64,
         config: ClusterConfig,
     ) -> Self {
-        let mut config = config;
-        // The legacy plan field and the schedule's embedded plan are the
-        // same knob at two API generations; a non-benign `faults` wins.
-        if !config.faults.is_benign() {
-            config.schedule.plan = config.faults.clone();
-        }
-        // Scripted crashes without a recovery log would be permanent
-        // data loss, which the threaded runtime does not model — arm
-        // durability automatically.
-        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
-            config.durability = Some(1024);
-        }
         let graph = Arc::new(graph);
         let registry = Arc::new(TsRegistry::new(
             &graph,
@@ -576,11 +507,11 @@ impl ThreadedCluster {
     /// surface, and trace machinery as [`with_config`](Self::with_config),
     /// with the [`ThreadNet`] router swapped for the kernel.
     ///
-    /// Link-level fault injection ([`ClusterConfig::faults`] /
-    /// [`FaultSchedule`] outages) is a router feature and does not apply
-    /// here — the kernel's loopback does not drop frames. Scripted
-    /// crash/restart events still work (they are injected as commands).
-    /// A [`SessionConfig`] is still worth arming: the transport sheds
+    /// Link-level fault injection (the [`FaultSchedule`]'s plan and
+    /// outages) is a router feature and does not apply here — the
+    /// kernel's loopback does not drop frames. Scripted crash/restart
+    /// events still work (they are injected as commands). A
+    /// [`SessionConfig`] is still worth arming: the transport sheds
     /// frames on a backed-up or not-yet-connected peer, and only session
     /// retransmission repairs those.
     pub fn with_tcp(
@@ -588,10 +519,6 @@ impl ThreadedCluster {
         config: ClusterConfig,
         tcp: TcpNetConfig,
     ) -> io::Result<Self> {
-        let mut config = config;
-        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
-            config.durability = Some(1024);
-        }
         let graph = Arc::new(graph);
         let registry = Arc::new(TsRegistry::new(
             &graph,
@@ -635,10 +562,16 @@ impl ThreadedCluster {
     fn spawn<T: Transport<Msg = SessionFrame<BatchMsg>>>(
         graph: Arc<ShareGraph>,
         registry: Arc<TsRegistry>,
-        config: ClusterConfig,
+        mut config: ClusterConfig,
         handles: Vec<T>,
         net: NetBacking,
     ) -> Self {
+        // Scripted crashes without a recovery log would be permanent
+        // data loss, which the threaded runtime does not model — arm
+        // durability automatically.
+        if !config.schedule.crashes.is_empty() && config.durability.is_none() {
+            config.durability = Some(1024);
+        }
         let applied = Arc::new(AtomicUsize::new(0));
         let pending = Arc::new(AtomicUsize::new(0));
         let sent = Arc::new(AtomicUsize::new(0));
@@ -814,18 +747,7 @@ impl ThreadedCluster {
         x: RegisterId,
         v: Value,
     ) -> Result<UpdateId, ClusterError> {
-        let (reply, rx) = bounded(1);
-        if self.cmd_txs[r.index()]
-            .send(Cmd::Write {
-                register: x,
-                value: v,
-                reply,
-            })
-            .is_err()
-        {
-            return Err(ClusterError::Disconnected { replica: r });
-        }
-        rx.recv().map_err(|_| self.unreachable_kind(r))
+        write_many(&self.cmd_txs[r.index()], r, vec![(x, v)]).map(|ids| ids[0])
     }
 
     /// Classifies why a reply channel from `r` died: the thread dropped
@@ -838,42 +760,18 @@ impl ThreadedCluster {
         }
     }
 
-    /// Pipelined writes: enqueues every command before collecting any
-    /// reply, so the replica thread coalesces the burst into batches
-    /// instead of ping-ponging one command per reply. The command
-    /// channel's bound still applies — a burst deeper than
-    /// `channel_depth` blocks until the replica drains.
+    /// A burst of writes as one command: the replica thread issues them
+    /// in order into its pending batches and publishes once, instead of
+    /// ping-ponging one command per reply. Returns the ids in issue
+    /// order.
     ///
     /// # Panics
     ///
-    /// Panics if `r` does not store one of the registers or the cluster
-    /// has shut down.
+    /// Panics if `r` does not store one of the registers, is crashed, or
+    /// the cluster has shut down.
     pub fn write_burst(&self, r: ReplicaId, writes: &[(RegisterId, Value)]) -> Vec<UpdateId> {
-        let (reply, rx) = bounded(writes.len().max(1));
-        for (x, v) in writes {
-            if self.cmd_txs[r.index()]
-                .send(Cmd::Write {
-                    register: *x,
-                    value: v.clone(),
-                    reply: reply.clone(),
-                })
-                .is_err()
-            {
-                panic!(
-                    "write_burst({r}): {}",
-                    ClusterError::Disconnected { replica: r }
-                );
-            }
-        }
-        drop(reply);
-        let mut ids = Vec::with_capacity(writes.len());
-        for _ in writes {
-            match rx.recv() {
-                Ok(id) => ids.push(id),
-                Err(_) => panic!("write_burst({r}): {}", self.unreachable_kind(r)),
-            }
-        }
-        ids
+        write_many(&self.cmd_txs[r.index()], r, writes.to_vec())
+            .unwrap_or_else(|e| panic!("write_burst({r}): {e}"))
     }
 
     /// Reads register `x` at replica `r` from its published snapshot —
@@ -1227,16 +1125,8 @@ impl NodeRuntime {
     /// Panics if this replica does not store `x` or the runtime has shut
     /// down.
     pub fn write(&self, x: RegisterId, v: Value) -> UpdateId {
-        let (reply, rx) = bounded(1);
-        self.cmd_tx
-            .send(Cmd::Write {
-                register: x,
-                value: v,
-                reply,
-            })
-            .unwrap_or_else(|_| panic!("write({x}): node {} has shut down", self.id));
-        rx.recv()
-            .unwrap_or_else(|_| panic!("write({x}): node {} replica thread died", self.id))
+        write_many(&self.cmd_tx, self.id, vec![(x, v)])
+            .unwrap_or_else(|e| panic!("write({x}): {e}"))[0]
     }
 
     /// Lock-free snapshot read of register `x`.
@@ -1358,36 +1248,33 @@ struct Outq {
     due: Instant,
 }
 
-/// Wraps queued updates as a batch and hands it to the session layer
-/// (or ships it bare). With a recovery log armed, the batch enters the
-/// durable outbox *before* the network sees it — restart rebuilds the
-/// session sender streams from exactly this history.
-fn ship<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    msgs: Vec<UpdateMsg>,
-    dst: ReplicaId,
-    endpoint: &mut Option<SessionEndpoint<BatchMsg>>,
-    net: &T,
-    now_ms: u64,
-    log: &mut Option<RecoveryLog>,
-) {
-    let batch = BatchMsg { updates: msgs };
-    if let Some(lg) = log.as_mut() {
-        lg.record_send(dst, batch.clone());
-    }
-    let frame = match endpoint.as_mut() {
-        Some(ep) => ep.send(dst, batch, now_ms),
-        None => SessionFrame::Bare(batch),
-    };
-    net.send(dst, frame);
+/// One issued update on its way to the I/O half: the message and the
+/// holders it fans out to.
+type Egress = (UpdateMsg, Vec<ReplicaId>);
+
+/// What one [`IoHalf::pump`] step does with the frames waiting in the
+/// transport.
+enum Ingress<'a> {
+    /// Decode them and hand every in-order payload batch to the closure,
+    /// which returns false to stop pulling frames.
+    Decode(&'a mut dyn FnMut(BatchMsg) -> bool),
+    /// Leave them in the transport: the apply side is backed up.
+    Hold,
+    /// The replica is crashed: its NIC is dark, frames vanish, and no
+    /// timer fires.
+    Dark,
 }
 
-/// The encode-and-ship half of a replica's transmit path: wire codec,
-/// pending per-destination batches, session endpoint, and the network
-/// handle. Owned by the replica thread in the inline loop (inside
-/// [`TxPath`]) and by the dedicated I/O thread in the pipelined loop —
-/// per-pair codec delta state never crosses threads either way.
-struct FanoutPath<T: Transport<Msg = SessionFrame<BatchMsg>>> {
+/// The I/O half of a replica: wire codec, per-destination pending
+/// batches, session endpoint, transport handle, and the WAL that records
+/// its sends and deliveries. It runs on the apply thread when a WAL is
+/// armed and on its own `io-N` thread otherwise ([`IoPlace`]); per-pair
+/// codec delta state never crosses threads either way.
+struct IoHalf<T: Transport<Msg = SessionFrame<BatchMsg>>> {
     id: ReplicaId,
+    /// The durable recovery log, when armed.
+    log: Option<RecoveryLog>,
+    registry: Arc<TsRegistry>,
     codec: WireCodec,
     outq: HashMap<ReplicaId, Outq>,
     endpoint: Option<SessionEndpoint<BatchMsg>>,
@@ -1399,20 +1286,33 @@ struct FanoutPath<T: Transport<Msg = SessionFrame<BatchMsg>>> {
     wire_bytes_ctr: Arc<AtomicUsize>,
     demotions_ctr: Arc<AtomicUsize>,
     retransmits_ctr: Arc<AtomicUsize>,
+    lost_ctr: Arc<AtomicUsize>,
     last_demotions: usize,
     last_retx: usize,
 }
 
-impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
+impl<T: Transport<Msg = SessionFrame<BatchMsg>>> IoHalf<T> {
     /// Session timers run on wall-clock milliseconds since the cluster
     /// epoch — the real-timer counterpart of the sim clock.
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
     }
 
-    fn ship(&mut self, msgs: Vec<UpdateMsg>, dst: ReplicaId, log: &mut Option<RecoveryLog>) {
+    /// Wraps queued updates as a batch and hands it to the session layer
+    /// (or ships it bare). With a WAL armed, the batch enters the durable
+    /// outbox *before* the network sees it — restart rebuilds the session
+    /// sender streams from exactly this history.
+    fn ship(&mut self, msgs: Vec<UpdateMsg>, dst: ReplicaId) {
+        let batch = BatchMsg { updates: msgs };
+        if let Some(lg) = self.log.as_mut() {
+            lg.record_send(dst, batch.clone());
+        }
         let now_ms = self.now_ms();
-        ship(msgs, dst, &mut self.endpoint, &self.net, now_ms, log);
+        let frame = match self.endpoint.as_mut() {
+            Some(ep) => ep.send(dst, batch, now_ms),
+            None => SessionFrame::Bare(batch),
+        };
+        self.net.send(dst, frame);
     }
 
     /// Encodes `msg` for each recipient and ships it (eager) or
@@ -1420,12 +1320,7 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
     /// fan-out: the metadata `Arc` (or its per-pair projected frame) is
     /// shared, not cloned, and identical pair streams share one varint
     /// pass.
-    fn fanout(
-        &mut self,
-        msg: &UpdateMsg,
-        recipients: Vec<ReplicaId>,
-        log: &mut Option<RecoveryLog>,
-    ) {
+    fn fanout(&mut self, (msg, recipients): Egress) {
         let metas = self.codec.encode_fanout(self.id, &recipients, &msg.meta);
         let demoted = self.codec.stats().demotions;
         if demoted > self.last_demotions {
@@ -1443,7 +1338,7 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
             self.wire_bytes_ctr
                 .fetch_add(m.meta.size_bytes(), Ordering::SeqCst);
             if self.eager {
-                self.ship(vec![m], dst, log);
+                self.ship(vec![m], dst);
             } else {
                 let q = self.outq.entry(dst).or_insert_with(|| Outq {
                     msgs: Vec::new(),
@@ -1454,15 +1349,98 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
                 q.msgs.push(m);
                 if q.msgs.len() >= self.batch.batch_count || q.bytes >= self.batch.batch_bytes {
                     let q = self.outq.remove(&dst).expect("slot just filled");
-                    self.ship(q.msgs, dst, log);
+                    self.ship(q.msgs, dst);
                 }
             }
         }
     }
 
+    /// One I/O step: fans out `egress`, handles up to 256 frames per
+    /// `ingress`, then fires the batch-flush and retransmission timers.
+    /// Returns true when it did work or a batch is still waiting for its
+    /// window — the caller must not doze.
+    fn pump(&mut self, egress: impl Iterator<Item = Egress>, ingress: Ingress<'_>) -> bool {
+        let mut busy = false;
+        for e in egress {
+            busy = true;
+            self.fanout(e);
+        }
+        match ingress {
+            Ingress::Dark => return self.drop_frames() || busy,
+            Ingress::Hold => {}
+            Ingress::Decode(deliver) => busy |= self.decode(deliver),
+        }
+        busy |= !self.flush_due();
+        self.poll_session();
+        busy
+    }
+
+    /// Pulls up to 256 frames, runs them through the session endpoint,
+    /// and delivers the in-order payloads. Returns true if any frame
+    /// arrived.
+    fn decode(&mut self, deliver: &mut dyn FnMut(BatchMsg) -> bool) -> bool {
+        let mut any = false;
+        for _ in 0..256 {
+            let Some(env) = self.net.try_recv() else {
+                break;
+            };
+            any = true;
+            let now_ms = self.now_ms();
+            let mut acks = Vec::new();
+            let payloads = match self.endpoint.as_mut() {
+                Some(ep) => ep.on_frame(env.src, env.msg, now_ms, &mut acks),
+                None => match env.msg {
+                    SessionFrame::Bare(b) => vec![b],
+                    // Session frames without a session endpoint cannot
+                    // happen (both are chosen by the same constructor).
+                    _ => Vec::new(),
+                },
+            };
+            // Ack-after-durable: every in-order payload reaches the WAL
+            // before the cumulative ack for it can reach the network, so
+            // a peer's acked point never runs ahead of the durable log.
+            if let Some(lg) = self.log.as_mut() {
+                for b in &payloads {
+                    lg.record_delivery(env.src, b.clone());
+                }
+            }
+            for (dst, f) in acks {
+                self.net.send(dst, f);
+            }
+            let mut open = true;
+            for b in payloads {
+                // One frame can decode to several in-order batches; all
+                // of them are delivered even once the sink closed.
+                open &= deliver(b);
+            }
+            if !open {
+                break;
+            }
+        }
+        any
+    }
+
+    /// A crashed node's NIC is dark: frames vanish. Bare frames (no
+    /// session) are permanent losses and are counted so `settle` can
+    /// still converge; session frames will be retransmitted until after
+    /// the restart. Returns true if any frame arrived.
+    fn drop_frames(&mut self) -> bool {
+        let mut any = false;
+        for _ in 0..256 {
+            let Some(env) = self.net.try_recv() else {
+                break;
+            };
+            any = true;
+            if let (None, SessionFrame::Bare(b)) = (&self.endpoint, env.msg) {
+                self.lost_ctr.fetch_add(b.updates.len(), Ordering::SeqCst);
+            }
+        }
+        any
+    }
+
     /// Ships batches whose coalescing window has closed. Returns true
     /// when nothing remains queued (the thread may doze).
-    fn flush_due(&mut self, log: &mut Option<RecoveryLog>) -> bool {
+    fn flush_due(&mut self) -> bool {
         if self.outq.is_empty() {
             return true;
         }
@@ -1475,17 +1453,17 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
             .collect();
         for dst in due {
             let q = self.outq.remove(&dst).expect("due batch present");
-            self.ship(q.msgs, dst, log);
+            self.ship(q.msgs, dst);
         }
         // Stay hot while a batch is waiting for its window.
         self.outq.is_empty()
     }
 
     /// Flushes every unshipped batch so nothing queued is lost.
-    fn flush_all(&mut self, log: &mut Option<RecoveryLog>) {
+    fn flush_all(&mut self) {
         let outq = std::mem::take(&mut self.outq);
         for (dst, q) in outq {
-            self.ship(q.msgs, dst, log);
+            self.ship(q.msgs, dst);
         }
     }
 
@@ -1510,102 +1488,214 @@ impl<T: Transport<Msg = SessionFrame<BatchMsg>>> FanoutPath<T> {
             self.last_retx = retx;
         }
     }
-}
 
-/// The full single-threaded transmit path of the inline loop: issue
-/// (WAL + write + stamp) fused with [`FanoutPath`] encode/ship, plus
-/// the durable log the command loop also records deliveries through.
-/// Factored out of the command loop so [`Cmd::Write`] and
-/// [`Cmd::WriteMany`] share one issue path.
-struct TxPath<'a, T: Transport<Msg = SessionFrame<BatchMsg>>> {
-    fan: FanoutPath<T>,
-    graph: &'a ShareGraph,
-    /// Durable recovery log, when armed. Owned here because the WAL's
-    /// outbox entries are written on the transmit path (`ship`), but the
-    /// command loop also records deliveries and drives snapshots/recovery
-    /// through it.
-    log: Option<RecoveryLog>,
-    shard: &'a TraceShard,
-    shard_seq: u64,
-    sent_ctr: &'a AtomicUsize,
-}
-
-impl<T: Transport<Msg = SessionFrame<BatchMsg>>> TxPath<'_, T> {
-    /// Issues one write at `replica`, stamps the issue, and fans the
-    /// update out to the register's other holders (batched or eager per
-    /// policy). Returns the new update's id. Does *not* publish a
-    /// snapshot — the caller publishes once per drain burst, which is
-    /// what makes bursts cheap.
-    fn issue(&mut self, replica: &mut Replica, register: RegisterId, value: Value) -> UpdateId {
-        // Write-ahead: the WAL entry lands before the write executes or
-        // any ack can escape (crashes are injected at command
-        // granularity, so the entry and the state change are atomic).
-        if let Some(lg) = self.log.as_mut() {
-            lg.record_own_write(register, value.clone());
+    /// Recovers from the WAL after a crash: returns the replica and
+    /// applied frontier rebuilt by replay, and rebuilds the volatile
+    /// sender state. The codec starts fresh: per-pair delta streams
+    /// restart from scratch, which is sound because frames carry decoded
+    /// metadata values (receivers hold no stream state); only byte
+    /// accounting changes. The session endpoint re-arms its sender
+    /// streams from the outbox and probes every peer with `CatchUp`.
+    fn recover(&mut self, num_replicas: usize) -> (Replica, Vec<u64>) {
+        let log = self.log.as_ref().expect("only a WAL-armed replica crashes");
+        let recovered = log.recover_with_frontier(num_replicas);
+        self.codec = WireCodec::new(self.codec.mode(), Some(self.registry.clone()));
+        self.last_demotions = 0;
+        let now_ms = self.now_ms();
+        if let Some(ep) = self.endpoint.as_mut() {
+            let mut out = Vec::new();
+            ep.restart(log.outbox(), &log.recv_cums(), now_ms, &mut out);
+            for (dst, f) in out {
+                self.net.send(dst, f);
+            }
         }
-        let (msg, recipients, uid) = issue_local(
-            replica,
-            self.graph,
-            self.fan.id,
-            self.shard,
-            &mut self.shard_seq,
-            self.fan.epoch,
-            self.sent_ctr,
-            register,
-            value,
-        );
-        self.fan.fanout(&msg, recipients, &mut self.log);
-        uid
+        recovered
     }
 }
 
-/// The issue half shared by both loops: WAL-free local write + issue
-/// stamp + sent accounting. Returns the update to fan out (the caller
-/// encodes and ships — inline directly, pipelined via the egress
-/// channel).
-#[allow(clippy::too_many_arguments)]
-fn issue_local(
-    replica: &mut Replica,
-    graph: &ShareGraph,
-    id: ReplicaId,
-    shard: &TraceShard,
-    shard_seq: &mut u64,
-    epoch: Instant,
-    sent_ctr: &AtomicUsize,
-    register: RegisterId,
-    value: Value,
-) -> (UpdateMsg, Vec<ReplicaId>, UpdateId) {
-    let recipients: Vec<ReplicaId> = graph
-        .placement()
-        .holders(register)
-        .iter()
-        .copied()
-        .filter(|&h| h != id)
-        .collect();
-    let (msg, recipients) = replica
-        .write(register, value, recipients)
-        .unwrap_or_else(|e| panic!("{e}"));
-    let uid = UpdateId {
-        issuer: id,
-        seq: msg.seq,
+/// The no-WAL hand-off from the `io-N` thread to the apply thread: a
+/// bounded channel plus a spill queue. The I/O thread never blocks on
+/// the apply thread: when the channel is full, decoded payloads park in
+/// the spill and no further frames are pulled from the net —
+/// backpressure without ever dropping a decoded bare payload (which,
+/// sessionless, would be permanent loss).
+struct Handoff {
+    tx: Sender<BatchMsg>,
+    spill: VecDeque<BatchMsg>,
+    /// The apply thread is gone.
+    hung_up: bool,
+}
+
+impl Handoff {
+    /// Hands `batch` on behind anything already spilled. Returns false
+    /// once it had to spill (or the apply thread hung up): stop pulling
+    /// frames.
+    fn offer(&mut self, batch: BatchMsg) -> bool {
+        if !self.spill.is_empty() {
+            self.spill.push_back(batch);
+            return false;
+        }
+        match self.tx.try_send(batch) {
+            Ok(()) => true,
+            Err(TrySendError::Full(b)) => {
+                self.spill.push_back(b);
+                false
+            }
+            Err(TrySendError::Disconnected(_)) => {
+                self.hung_up = true;
+                false
+            }
+        }
+    }
+
+    /// Retries the spill in decode order (ingress order is decode
+    /// order). Returns true once it is empty.
+    fn drain(&mut self) -> bool {
+        while let Some(b) = self.spill.pop_front() {
+            match self.tx.try_send(b) {
+                Ok(()) => {}
+                Err(TrySendError::Full(b)) => {
+                    self.spill.push_front(b);
+                    return false;
+                }
+                Err(TrySendError::Disconnected(_)) => {
+                    self.hung_up = true;
+                    return false;
+                }
+            }
+        }
+        true
+    }
+}
+
+/// The `io-N` thread of a replica without a WAL: pumps the I/O half,
+/// taking issued updates from the egress channel and handing decoded
+/// batches to the apply thread. Once the apply thread hangs up it ships
+/// whatever it was handed, flushes, and exits.
+fn io_thread<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+    mut io: IoHalf<T>,
+    egress: Receiver<Egress>,
+    ingress: Sender<BatchMsg>,
+) {
+    let mut hand = Handoff {
+        tx: ingress,
+        spill: VecDeque::new(),
+        hung_up: false,
     };
-    // Stamp the issue *before* any send: the shard merge relies on
-    // issue stamps preceding all apply stamps.
-    shard.lock().push(Stamped {
-        nanos: epoch.elapsed().as_nanos() as u64,
-        seq: *shard_seq,
-        ev: ShardEvent::Issue { id: uid, register },
-    });
-    *shard_seq += 1;
-    sent_ctr.fetch_add(recipients.len(), Ordering::SeqCst);
-    (msg, recipients, uid)
+    loop {
+        let ready = hand.drain();
+        let mut offer = |b| hand.offer(b);
+        let ingress = if ready {
+            Ingress::Decode(&mut offer)
+        } else {
+            Ingress::Hold
+        };
+        let issued = std::iter::from_fn(|| egress.try_recv().ok()).take(256);
+        let busy = io.pump(issued, ingress);
+        if hand.hung_up {
+            break;
+        }
+        if !busy {
+            match egress.recv_timeout(TICK) {
+                Ok(e) => io.fanout(e),
+                Err(RecvTimeoutError::Disconnected) => break,
+                Err(RecvTimeoutError::Timeout) => {}
+            }
+        }
+    }
+    while let Ok(e) = egress.try_recv() {
+        io.fanout(e);
+    }
+    io.flush_all();
+}
+
+/// Where a replica's I/O half runs. The WAL decides, not a knob.
+enum IoPlace<T: Transport<Msg = SessionFrame<BatchMsg>>> {
+    /// A WAL is armed: the I/O half runs on the apply thread, because
+    /// the log must record own writes, sends and deliveries in execution
+    /// order. Crash and restart only exist here.
+    Inline(Box<IoHalf<T>>),
+    /// No WAL: the I/O half runs on its own `io-N` thread
+    /// ([`io_thread`]) behind two bounded channels, so encode, ship,
+    /// session and decode work stays off the apply thread.
+    Thread {
+        egress: Sender<Egress>,
+        ingress: Receiver<BatchMsg>,
+    },
+}
+
+impl<T: Transport<Msg = SessionFrame<BatchMsg>>> IoPlace<T> {
+    /// The WAL, when armed (always, inline; never, on the I/O thread).
+    fn log(&mut self) -> Option<&mut RecoveryLog> {
+        match self {
+            IoPlace::Inline(io) => io.log.as_mut(),
+            IoPlace::Thread { .. } => None,
+        }
+    }
+
+    /// Issues one write at `replica`: the WAL entry (if any), the local
+    /// write and issue stamp, then the fan-out — straight through the
+    /// I/O half inline, or over the egress channel. Does *not* publish a
+    /// snapshot — the loop publishes once per drain burst, which is what
+    /// makes bursts cheap.
+    fn issue(
+        &mut self,
+        replica: &mut Replica,
+        sh: &LoopShared<'_>,
+        shard_seq: &mut u64,
+        register: RegisterId,
+        value: Value,
+    ) -> UpdateId {
+        if let Some(log) = self.log() {
+            // Write-ahead: the WAL entry lands before the write executes
+            // or any ack can escape (crashes are injected at command
+            // granularity, so the entry and the state change are atomic).
+            log.record_own_write(register, value.clone());
+        }
+        let recipients: Vec<ReplicaId> = sh
+            .graph
+            .placement()
+            .holders(register)
+            .iter()
+            .copied()
+            .filter(|&h| h != sh.id)
+            .collect();
+        let (msg, recipients) = replica
+            .write(register, value, recipients)
+            .unwrap_or_else(|e| panic!("{e}"));
+        let uid = UpdateId {
+            issuer: sh.id,
+            seq: msg.seq,
+        };
+        // Stamp the issue *before* any send: the shard merge relies on
+        // issue stamps preceding all apply stamps.
+        sh.shard.lock().push(Stamped {
+            nanos: sh.epoch.elapsed().as_nanos() as u64,
+            seq: *shard_seq,
+            ev: ShardEvent::Issue { id: uid, register },
+        });
+        *shard_seq += 1;
+        sh.sent_ctr.fetch_add(recipients.len(), Ordering::SeqCst);
+        match self {
+            IoPlace::Inline(io) => io.fanout((msg, recipients)),
+            // A full egress channel blocks here: bounded backpressure
+            // against the I/O thread, which never blocks back (it parks
+            // ingress overflow in its spill), so this cannot deadlock.
+            IoPlace::Thread { egress, .. } => {
+                if !recipients.is_empty() {
+                    let _ = egress.send((msg, recipients));
+                }
+            }
+        }
+        uid
+    }
 }
 
 /// Publishes `replica`'s current state as one immutable [`ReplicaView`]:
 /// store, per-register provenance, and the applied frontier, captured
 /// together so readers never see a store newer than its frontier.
-fn publish_view(snapshot: &SnapshotCell, replica: &Replica, frontier: &[u64], mode: StoreMode) {
-    snapshot.publish(ReplicaView::capture(replica, mode, frontier.to_vec()));
+fn publish_view(snapshot: &SnapshotCell, replica: &Replica, frontier: &[u64]) {
+    snapshot.publish(ReplicaView::capture(replica, frontier.to_vec()));
 }
 
 /// A [`Cmd::WriteMany`] reply channel plus the per-write statuses owed
@@ -1620,29 +1710,18 @@ type ManyReply = (Sender<(u64, WriteStatus)>, Vec<(u64, WriteStatus)>);
 #[derive(Default)]
 struct DeferredReplies {
     wrote: bool,
-    writes: Vec<(Sender<UpdateId>, UpdateId)>,
-    many: Vec<ManyReply>,
+    replies: Vec<ManyReply>,
 }
 
 impl DeferredReplies {
     /// Publishes once (iff any write is pending) and releases every
-    /// held completion token — the one-publish-per-drain-burst path
-    /// shared by [`Cmd::Write`] and [`Cmd::WriteMany`].
-    fn release(
-        &mut self,
-        snapshot: &SnapshotCell,
-        replica: &Replica,
-        frontier: &[u64],
-        mode: StoreMode,
-    ) {
+    /// held completion token — the one-publish-per-drain-burst path.
+    fn release(&mut self, snapshot: &SnapshotCell, replica: &Replica, frontier: &[u64]) {
         if self.wrote {
-            publish_view(snapshot, replica, frontier, mode);
+            publish_view(snapshot, replica, frontier);
             self.wrote = false;
         }
-        for (reply, uid) in self.writes.drain(..) {
-            let _ = reply.send(uid);
-        }
-        for (reply, statuses) in self.many.drain(..) {
+        for (reply, statuses) in self.replies.drain(..) {
             for s in statuses {
                 let _ = reply.send(s);
             }
@@ -1650,18 +1729,19 @@ impl DeferredReplies {
     }
 }
 
-/// Loop state shared by the inline and pipelined replica loops.
+/// Per-replica state the replica loop borrows from its thread.
 struct LoopShared<'a> {
     id: ReplicaId,
     graph: &'a ShareGraph,
-    mode: StoreMode,
     epoch: Instant,
     cmds: &'a Receiver<Cmd>,
     shard: &'a TraceShard,
     snapshot: &'a SnapshotCell,
+    crashed_flag: &'a AtomicBool,
     applied_ctr: &'a AtomicUsize,
     pending_ctr: &'a AtomicUsize,
     sent_ctr: &'a AtomicUsize,
+    restarts_ctr: &'a AtomicUsize,
 }
 
 /// Applies one decoded batch: store writes, tracker merge, frontier
@@ -1736,105 +1816,77 @@ fn replica_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(ctx: ReplicaC
         lost_ctr,
         restarts_ctr,
     } = ctx;
-    // Each sender thread owns the codec for its outgoing pair streams —
-    // per-pair delta state never crosses threads.
-    let wire_mode = config.wire;
     let replica = Replica::new(
         id,
         graph.placement().registers_of(id).clone(),
         Box::new(EdgeTracker::new(registry.clone(), id)) as Box<dyn CausalityTracker>,
     );
-    let endpoint = config.session.map(|cfg| SessionEndpoint::new(id, cfg));
-    let log = config
-        .durability
-        .map(|every| RecoveryLog::new(replica.clone(), every));
-    // Durability forces eager shipping: an acked write must already sit
-    // in the outbox when a crash hits, and crash atomicity is per
-    // command — a batch coalescing across commands would ack writes
-    // whose updates exist nowhere durable.
-    let eager = config.batch.batch_count <= 1 || log.is_some();
-    let flush_window = TICK * config.batch.flush_after.min(u32::MAX as u64) as u32;
-    let fan = FanoutPath {
+    let io = IoHalf {
         id,
-        codec: WireCodec::new(wire_mode, Some(registry.clone())),
+        log: config
+            .durability
+            .map(|every| RecoveryLog::new(replica.clone(), every)),
+        codec: WireCodec::new(config.wire, Some(registry.clone())),
+        registry,
         outq: HashMap::new(),
-        endpoint,
+        endpoint: config.session.map(|cfg| SessionEndpoint::new(id, cfg)),
         net,
         epoch,
         batch: config.batch,
-        eager,
-        flush_window,
+        // Durability forces eager shipping: an acked write must already
+        // sit in the outbox when a crash hits, and crash atomicity is
+        // per command — a batch coalescing across commands would ack
+        // writes whose updates exist nowhere durable.
+        eager: config.batch.batch_count <= 1 || config.durability.is_some(),
+        flush_window: TICK * config.batch.flush_after.min(u32::MAX as u64) as u32,
         wire_bytes_ctr,
         demotions_ctr,
         retransmits_ctr,
+        lost_ctr,
         last_demotions: 0,
         last_retx: 0,
     };
     let sh = LoopShared {
         id,
         graph: &graph,
-        mode: config.store,
         epoch,
         cmds: &cmds,
         shard: &shard,
         snapshot: &snapshot,
+        crashed_flag: &crashed_flag,
         applied_ctr: &applied_ctr,
         pending_ctr: &pending_ctr,
         sent_ctr: &sent_ctr,
+        restarts_ctr: &restarts_ctr,
     };
-    // The pipelined loop covers exactly the configurations where a
-    // crash command is a no-op (no durable log, so the inline loop
-    // ignores crashes too — a crash without a WAL would be permanent
-    // data loss). Every fault-bearing configuration runs inline.
-    if config.pipeline && log.is_none() {
-        piped_main(
-            &sh,
-            replica,
-            fan,
-            config.channel_depth,
-            config.ingress_depth,
-        );
-    } else {
-        inline_main(
-            &sh,
-            replica,
-            fan,
-            log,
-            &crashed_flag,
-            &lost_ctr,
-            &restarts_ctr,
-            &registry,
-            wire_mode,
-        );
+    if io.log.is_some() {
+        replica_loop(&sh, replica, IoPlace::Inline(Box::new(io)));
+        return;
     }
+    let (eg_tx, eg_rx) = bounded::<Egress>(config.channel_depth.max(1));
+    let (in_tx, in_rx) = bounded::<BatchMsg>(config.ingress_depth.max(1));
+    std::thread::scope(|scope| {
+        std::thread::Builder::new()
+            .name(format!("io-{}", id.raw()))
+            .spawn_scoped(scope, move || io_thread(io, eg_rx, in_tx))
+            .expect("spawn replica io thread");
+        let place: IoPlace<T> = IoPlace::Thread {
+            egress: eg_tx,
+            ingress: in_rx,
+        };
+        replica_loop(&sh, replica, place);
+    });
 }
 
-/// The original single-threaded replica loop: commands, network input,
-/// publishes, session timers, WAL, and crash/restart all on one thread.
-/// This is the only loop that runs with durability armed (the WAL must
-/// observe sends in issue order) and the oracle the pipelined loop is
-/// differentially tested against.
-#[allow(clippy::too_many_arguments)]
-fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
+/// The replica loop: client commands, `J`-gated applies of decoded
+/// batches, publishes, and the I/O half wherever [`IoPlace`] put it.
+fn replica_loop<T: Transport<Msg = SessionFrame<BatchMsg>>>(
     sh: &LoopShared<'_>,
     mut replica: Replica,
-    fan: FanoutPath<T>,
-    log: Option<RecoveryLog>,
-    crashed_flag: &AtomicBool,
-    lost_ctr: &AtomicUsize,
-    restarts_ctr: &AtomicUsize,
-    registry: &Arc<TsRegistry>,
-    wire_mode: WireMode,
+    mut place: IoPlace<T>,
 ) {
     let id = sh.id;
-    let mut tx = TxPath {
-        fan,
-        graph: sh.graph,
-        log,
-        shard: sh.shard,
-        shard_seq: 0,
-        sent_ctr: sh.sent_ctr,
-    };
+    let mut shard_seq = 0u64;
     let mut local_pending = 0usize;
     // Per-issuer applied frontier published with every snapshot — the
     // serving tier's lock-free session-guarantee gate (see
@@ -1862,32 +1914,12 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                     Err(_) => break,
                 },
             };
+            idle = false;
             match cmd {
-                Cmd::Write {
-                    register,
-                    value,
-                    reply,
-                } => {
-                    idle = false;
-                    if crashed {
-                        // Dropping the reply sender surfaces as a typed
-                        // ClusterError::Crashed at the caller.
-                        drop(reply);
-                        continue;
-                    }
-                    let uid = tx.issue(&mut replica, register, value);
-                    frontier[id.index()] = uid.seq + 1;
-                    // Defer the completion: the burst publishes once,
-                    // and no token escapes before that publish
-                    // (read-own-writes).
-                    deferred.wrote = true;
-                    deferred.writes.push((reply, uid));
-                }
                 Cmd::WriteMany { ops, reply } => {
-                    idle = false;
                     if crashed {
-                        // Typed per-op rejection: the serving tier
-                        // re-routes each op to a live holder.
+                        // Typed per-op rejection: the caller re-routes or
+                        // reports ClusterError::Crashed.
                         for (token, _, _) in ops {
                             let _ = reply.send((token, WriteStatus::Crashed));
                         }
@@ -1895,157 +1927,103 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
                     }
                     let mut done = Vec::with_capacity(ops.len());
                     for (token, register, value) in ops {
-                        let uid = tx.issue(&mut replica, register, value);
+                        let uid = place.issue(&mut replica, sh, &mut shard_seq, register, value);
                         frontier[id.index()] = uid.seq + 1;
                         done.push((token, WriteStatus::Done(uid)));
                     }
+                    // Defer the completions: the burst publishes once,
+                    // and no token escapes before that publish.
                     deferred.wrote |= !done.is_empty();
-                    deferred.many.push((reply, done));
+                    deferred.replies.push((reply, done));
                 }
                 Cmd::ReadAt { register, reply } => {
-                    idle = false;
-                    if crashed {
-                        drop(reply);
-                        continue;
+                    // A crashed replica drops the reply, which surfaces
+                    // as ClusterError::Crashed at the caller.
+                    if !crashed {
+                        let _ = reply.send(replica.read(register).cloned());
                     }
-                    let _ = reply.send(replica.read(register).cloned());
                 }
                 Cmd::Crash { done } => {
-                    idle = false;
                     // The crash must observe every completion already
                     // promised: publish and release before the window
                     // opens.
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-                    // Without a durable log a crash would be permanent
-                    // data loss; this runtime only models recoverable
-                    // fail-stop, so the command is ignored.
-                    if !crashed && tx.log.is_some() {
+                    deferred.release(sh.snapshot, &replica, &frontier);
+                    // Without a WAL a crash would be permanent data loss;
+                    // this runtime only models recoverable fail-stop, so
+                    // the command is ignored.
+                    if let (false, IoPlace::Inline(io)) = (crashed, &mut place) {
                         crashed = true;
-                        crashed_flag.store(true, Ordering::SeqCst);
+                        sh.crashed_flag.store(true, Ordering::SeqCst);
                         // Volatile sender state dies with the process
                         // image. Durability keeps shipping eager, so the
                         // outq is empty and no acked write is in it.
-                        tx.fan.outq.clear();
+                        io.outq.clear();
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Restart { done } => {
-                    idle = false;
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-                    if crashed {
-                        let lg = tx.log.as_ref().expect("crashed implies a log");
-                        let (rec, fr) = lg.recover_with_frontier(sh.graph.num_replicas());
-                        replica = rec;
-                        frontier = fr;
-                        // Fresh codec: per-pair delta streams restart
-                        // from scratch. Sound because frames carry
-                        // decoded metadata values (receivers hold no
-                        // stream state); only byte accounting changes.
-                        tx.fan.codec = WireCodec::new(wire_mode, Some(registry.clone()));
-                        if let Some(ep) = tx.fan.endpoint.as_mut() {
-                            let lg = tx.log.as_ref().expect("crashed implies a log");
-                            let mut out = Vec::new();
-                            let now_ms = sh.epoch.elapsed().as_millis() as u64;
-                            ep.restart(lg.outbox(), &lg.recv_cums(), now_ms, &mut out);
-                            for (dst, f) in out {
-                                tx.fan.net.send(dst, f);
-                            }
-                        }
+                    deferred.release(sh.snapshot, &replica, &frontier);
+                    if let (true, IoPlace::Inline(io)) = (crashed, &mut place) {
+                        (replica, frontier) = io.recover(sh.graph.num_replicas());
                         crashed = false;
-                        crashed_flag.store(false, Ordering::SeqCst);
-                        restarts_ctr.fetch_add(1, Ordering::SeqCst);
+                        sh.crashed_flag.store(false, Ordering::SeqCst);
+                        sh.restarts_ctr.fetch_add(1, Ordering::SeqCst);
                         // Republish from recovered state: durable writes
                         // become snapshot-visible again immediately.
-                        publish_view(sh.snapshot, &replica, &frontier, sh.mode);
+                        publish_view(sh.snapshot, &replica, &frontier);
                     }
                     if let Some(d) = done {
                         let _ = d.send(());
                     }
                 }
                 Cmd::Shutdown => {
-                    deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-                    if !crashed {
-                        tx.fan.flush_all(&mut tx.log);
+                    deferred.release(sh.snapshot, &replica, &frontier);
+                    if let (false, IoPlace::Inline(io)) = (crashed, &mut place) {
+                        io.flush_all();
                     }
+                    // On the I/O thread, dropping `place` hangs up the
+                    // egress channel: it ships what it holds and exits.
                     return;
                 }
             }
         }
         // One publish for the whole burst, then every held completion
         // token — never a token before its write is snapshot-visible.
-        deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
+        deferred.release(sh.snapshot, &replica, &frontier);
         // Then a burst of network input.
         let mut applied_any = false;
-        let mut shard_seq = tx.shard_seq;
-        for _ in 0..256 {
-            let Some(env) = tx.fan.net.try_recv() else {
-                break;
-            };
-            idle = false;
-            if crashed {
-                // A crashed node's NIC is dark: frames vanish. Bare
-                // frames (no session) are permanent losses and must be
-                // accounted so `settle` can still converge; session
-                // frames will be retransmitted until after the restart.
-                if tx.fan.endpoint.is_none() {
-                    if let SessionFrame::Bare(b) = env.msg {
-                        lost_ctr.fetch_add(b.updates.len(), Ordering::SeqCst);
-                    }
-                }
-                continue;
+        let mut apply = |batch: BatchMsg| {
+            applied_any |= apply_batch(&mut replica, batch, sh, &mut shard_seq, &mut frontier);
+            true
+        };
+        match &mut place {
+            IoPlace::Inline(io) => {
+                let ingress = if crashed {
+                    Ingress::Dark
+                } else {
+                    Ingress::Decode(&mut apply)
+                };
+                idle &= !io.pump(std::iter::empty(), ingress);
             }
-            let payloads = match tx.fan.endpoint.as_mut() {
-                Some(ep) => {
-                    let now = sh.epoch.elapsed().as_millis() as u64;
-                    let mut resp = Vec::new();
-                    let msgs = ep.on_frame(env.src, env.msg, now, &mut resp);
-                    // Ack-after-durable: every in-order payload reaches
-                    // the WAL before the cumulative ack for it can reach
-                    // the network, so a peer's acked point never runs
-                    // ahead of this replica's durable log.
-                    if let Some(lg) = tx.log.as_mut() {
-                        for b in &msgs {
-                            lg.record_delivery(env.src, b.clone());
-                        }
-                    }
-                    for (dst, f) in resp {
-                        tx.fan.net.send(dst, f);
-                    }
-                    msgs
+            IoPlace::Thread { ingress, .. } => {
+                for batch in std::iter::from_fn(|| ingress.try_recv().ok()).take(256) {
+                    idle = false;
+                    apply(batch);
                 }
-                None => match env.msg {
-                    SessionFrame::Bare(b) => {
-                        if let Some(lg) = tx.log.as_mut() {
-                            lg.record_delivery(env.src, b.clone());
-                        }
-                        vec![b]
-                    }
-                    // Session frames without a session endpoint cannot
-                    // happen (both are chosen by the same constructor).
-                    _ => Vec::new(),
-                },
-            };
-            for batch in payloads {
-                applied_any |= apply_batch(&mut replica, batch, sh, &mut shard_seq, &mut frontier);
             }
         }
-        tx.shard_seq = shard_seq;
         if applied_any {
-            publish_view(sh.snapshot, &replica, &frontier, sh.mode);
+            publish_view(sh.snapshot, &replica, &frontier);
         }
         if !crashed {
             // Compact the WAL once per loop pass: the live state now
             // reflects every logged event of this pass.
-            if let Some(lg) = tx.log.as_mut() {
-                lg.maybe_snapshot_with_frontier(&replica, &frontier);
+            if let Some(log) = place.log() {
+                log.maybe_snapshot_with_frontier(&replica, &frontier);
             }
             sync_pending(&replica, sh, &mut local_pending);
-            // Flush batches whose coalescing window has closed.
-            idle = idle && tx.fan.flush_due(&mut tx.log);
-            // Retransmission timers: fire whatever is due.
-            tx.fan.poll_session();
         }
         if idle {
             // Doze for at most one tick, but wake instantly on a client
@@ -2058,253 +2036,10 @@ fn inline_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
     }
 }
 
-/// What the apply thread hands its I/O thread.
-enum Egress {
-    /// Encode `msg` per recipient and ship (or coalesce) it.
-    Update {
-        msg: UpdateMsg,
-        recipients: Vec<ReplicaId>,
-    },
-    /// Flush everything queued and exit.
-    Shutdown,
-}
-
-/// The pipelined replica loop: an **apply thread** (this function —
-/// issues, `J`-predicate evaluation, frontier, publishes, client
-/// replies) and an **I/O thread** ([`io_main`] — wire encode, session
-/// acks/retransmits, wire decode) connected by two bounded channels.
-/// Wire work leaves the critical path, so a write's publish-and-reply
-/// no longer waits behind codec passes or frame decode.
-///
-/// Only runs without a durable log (see [`replica_main`]): crash and
-/// restart commands are the same no-ops the inline loop performs when
-/// no WAL is armed, and acks may precede applies because a decoded
-/// batch parked in the ingress channel can no longer be lost.
-fn piped_main<T: Transport<Msg = SessionFrame<BatchMsg>> + Send>(
-    sh: &LoopShared<'_>,
-    mut replica: Replica,
-    fan: FanoutPath<T>,
-    egress_depth: usize,
-    ingress_depth: usize,
-) {
-    let (eg_tx, eg_rx) = bounded::<Egress>(egress_depth.max(1));
-    let (in_tx, in_rx) = bounded::<BatchMsg>(ingress_depth.max(1));
-    std::thread::scope(|scope| {
-        std::thread::Builder::new()
-            .name(format!("io-{}", sh.id.raw()))
-            .spawn_scoped(scope, move || io_main(fan, eg_rx, in_tx))
-            .expect("spawn replica io thread");
-        let mut shard_seq = 0u64;
-        let mut local_pending = 0usize;
-        let mut frontier = vec![0u64; sh.graph.num_replicas()];
-        let mut carry: Option<Cmd> = None;
-        let mut deferred = DeferredReplies::default();
-        let issue = |replica: &mut Replica,
-                     shard_seq: &mut u64,
-                     register: RegisterId,
-                     value: Value|
-         -> UpdateId {
-            let (msg, recipients, uid) = issue_local(
-                replica,
-                sh.graph,
-                sh.id,
-                sh.shard,
-                shard_seq,
-                sh.epoch,
-                sh.sent_ctr,
-                register,
-                value,
-            );
-            if !recipients.is_empty() {
-                // A full egress channel blocks here: bounded
-                // backpressure against the I/O thread, which never
-                // blocks back (it parks ingress overflow in its spill),
-                // so this cannot deadlock.
-                let _ = eg_tx.send(Egress::Update { msg, recipients });
-            }
-            uid
-        };
-        loop {
-            let mut idle = true;
-            for _ in 0..64 {
-                let cmd = match carry.take() {
-                    Some(c) => c,
-                    None => match sh.cmds.try_recv() {
-                        Ok(c) => c,
-                        Err(_) => break,
-                    },
-                };
-                match cmd {
-                    Cmd::Write {
-                        register,
-                        value,
-                        reply,
-                    } => {
-                        idle = false;
-                        let uid = issue(&mut replica, &mut shard_seq, register, value);
-                        frontier[sh.id.index()] = uid.seq + 1;
-                        deferred.wrote = true;
-                        deferred.writes.push((reply, uid));
-                    }
-                    Cmd::WriteMany { ops, reply } => {
-                        idle = false;
-                        let mut done = Vec::with_capacity(ops.len());
-                        for (token, register, value) in ops {
-                            let uid = issue(&mut replica, &mut shard_seq, register, value);
-                            frontier[sh.id.index()] = uid.seq + 1;
-                            done.push((token, WriteStatus::Done(uid)));
-                        }
-                        deferred.wrote |= !done.is_empty();
-                        deferred.many.push((reply, done));
-                    }
-                    Cmd::ReadAt { register, reply } => {
-                        idle = false;
-                        let _ = reply.send(replica.read(register).cloned());
-                    }
-                    Cmd::Crash { done } | Cmd::Restart { done } => {
-                        idle = false;
-                        // No durable log in this configuration, so a
-                        // crash would be permanent data loss — ignored,
-                        // exactly like the inline loop without a WAL.
-                        if let Some(d) = done {
-                            let _ = d.send(());
-                        }
-                    }
-                    Cmd::Shutdown => {
-                        deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-                        let _ = eg_tx.send(Egress::Shutdown);
-                        return;
-                    }
-                }
-            }
-            // One publish per burst, then the held completion tokens.
-            deferred.release(sh.snapshot, &replica, &frontier, sh.mode);
-            // Decoded ingress from the I/O thread.
-            let mut applied_any = false;
-            for _ in 0..256 {
-                let Ok(batch) = in_rx.try_recv() else { break };
-                idle = false;
-                applied_any |= apply_batch(&mut replica, batch, sh, &mut shard_seq, &mut frontier);
-            }
-            if applied_any {
-                publish_view(sh.snapshot, &replica, &frontier, sh.mode);
-            }
-            sync_pending(&replica, sh, &mut local_pending);
-            if idle {
-                // Doze for at most one tick, waking instantly on a
-                // client command (ingress batches wait at most the tick).
-                if let Ok(c) = sh.cmds.recv_timeout(TICK) {
-                    carry = Some(c);
-                }
-            }
-        }
-    });
-}
-
-/// The per-replica I/O thread: drains the egress channel (encode +
-/// ship + coalesce), pumps the network (session frames decoded, acks
-/// answered, payload batches handed to the apply thread), and fires
-/// session retransmit timers. Never blocks on the apply thread: when
-/// the ingress channel is full, decoded payloads park in a spill queue
-/// and no further frames are pulled from the net — backpressure without
-/// ever dropping a decoded bare payload (which, sessionless, would be
-/// permanent loss).
-fn io_main<T: Transport<Msg = SessionFrame<BatchMsg>>>(
-    mut fan: FanoutPath<T>,
-    eg_rx: Receiver<Egress>,
-    in_tx: Sender<BatchMsg>,
-) {
-    // The pipelined configuration never arms a WAL.
-    let mut no_log: Option<RecoveryLog> = None;
-    let mut spill: VecDeque<BatchMsg> = VecDeque::new();
-    loop {
-        let mut idle = true;
-        for _ in 0..256 {
-            match eg_rx.try_recv() {
-                Ok(Egress::Update { msg, recipients }) => {
-                    idle = false;
-                    fan.fanout(&msg, recipients, &mut no_log);
-                }
-                Ok(Egress::Shutdown) => {
-                    fan.flush_all(&mut no_log);
-                    return;
-                }
-                Err(_) => break,
-            }
-        }
-        // Retry the spill before pulling new frames: ingress order is
-        // decode order.
-        while let Some(b) = spill.pop_front() {
-            match in_tx.try_send(b) {
-                Ok(()) => {}
-                Err(TrySendError::Full(b)) => {
-                    spill.push_front(b);
-                    break;
-                }
-                Err(TrySendError::Disconnected(_)) => return,
-            }
-        }
-        if spill.is_empty() {
-            for _ in 0..256 {
-                let Some(env) = fan.net.try_recv() else { break };
-                idle = false;
-                let payloads = match fan.endpoint.as_mut() {
-                    Some(ep) => {
-                        let now = fan.epoch.elapsed().as_millis() as u64;
-                        let mut resp = Vec::new();
-                        let msgs = ep.on_frame(env.src, env.msg, now, &mut resp);
-                        for (dst, f) in resp {
-                            fan.net.send(dst, f);
-                        }
-                        msgs
-                    }
-                    None => match env.msg {
-                        SessionFrame::Bare(b) => vec![b],
-                        _ => Vec::new(),
-                    },
-                };
-                for b in payloads {
-                    if spill.is_empty() {
-                        match in_tx.try_send(b) {
-                            Ok(()) => continue,
-                            Err(TrySendError::Full(b)) => spill.push_back(b),
-                            Err(TrySendError::Disconnected(_)) => return,
-                        }
-                    } else {
-                        // One frame can decode to several in-order
-                        // batches; once the channel filled, the rest of
-                        // the frame follows through the spill.
-                        spill.push_back(b);
-                    }
-                }
-                if !spill.is_empty() {
-                    break;
-                }
-            }
-        }
-        idle = idle && fan.flush_due(&mut no_log);
-        fan.poll_session();
-        if idle {
-            match eg_rx.recv_timeout(TICK) {
-                Ok(Egress::Update { msg, recipients }) => {
-                    fan.fanout(&msg, recipients, &mut no_log);
-                }
-                Ok(Egress::Shutdown) => {
-                    fan.flush_all(&mut no_log);
-                    return;
-                }
-                // The apply thread is gone; nothing more can be shipped
-                // or delivered.
-                Err(RecvTimeoutError::Disconnected) => return,
-                Err(RecvTimeoutError::Timeout) => {}
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use prcc_net::FaultPlan;
     use prcc_sharegraph::topology;
 
     fn r(i: u32) -> ReplicaId {
@@ -2574,22 +2309,19 @@ mod tests {
         // 30% drop + 20% duplication on real threads: the wall-clock
         // retransmission timers must restore every delivery. Delay ticks
         // are 200 µs, so a 10 ms base RTO clears the healthy round trip.
-        let cluster = ThreadedCluster::new_faulty(
+        let cluster = ThreadedCluster::with_config(
             topology::ring(4),
             DelayModel::Uniform { min: 0, max: 5 },
             11,
-            WireMode::default(),
-            FaultPlan {
-                drop_prob: 0.3,
-                duplicate_prob: 0.2,
-                ..Default::default()
+            ClusterConfig {
+                schedule: FaultSchedule::from_plan(FaultPlan {
+                    drop_prob: 0.3,
+                    duplicate_prob: 0.2,
+                    ..Default::default()
+                }),
+                session: fast_session(),
+                ..ClusterConfig::default()
             },
-            Some(SessionConfig {
-                rto_base: 10,
-                rto_max: 80,
-                jitter: 3,
-                ack_delay: 0,
-            }),
         );
         for round in 0..10u64 {
             for i in 0..4u32 {

@@ -20,9 +20,10 @@
 //! amortised publish cost is O(registers changed since the last
 //! publish), not O(store).
 //!
-//! The old clone-the-world behaviour stays available as the
-//! differential oracle via [`StoreMode::Clone`] (flat deep-cloned
-//! views), per this repo's every-layer-has-an-off-switch convention.
+//! Nothing observable may depend on the sharding: the threaded
+//! runtime's published views are checked against the lockstep
+//! [`System`](crate::System), which runs the same replicas without any
+//! snapshot publishing, in `crates/sim/tests/store_cow.rs`.
 //!
 //! [`ReplicaView`]: crate::runtime::ReplicaView
 
@@ -31,20 +32,6 @@ use prcc_checker::UpdateId;
 use prcc_sharegraph::RegisterId;
 use std::collections::HashMap;
 use std::sync::Arc;
-
-/// How the threaded runtime materialises published snapshots.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StoreMode {
-    /// Sharded copy-on-write publishes: O(registers changed since the
-    /// last publish) per publish.
-    #[default]
-    Cow,
-    /// The original clone-the-world publish — O(store) per publish.
-    /// Kept as the differential oracle: a [`StoreMode::Clone`] run must
-    /// be byte-identical to a [`StoreMode::Cow`] run on the same seeded
-    /// workload.
-    Clone,
-}
 
 /// One stored register: its current value and the update that produced
 /// it. Registers written through the routed protocol's payload path
@@ -142,15 +129,15 @@ impl CowStore {
         self.shards.iter().flat_map(|s| s.iter())
     }
 
-    /// Deep-clones the store into a flat value map — the
-    /// [`StoreMode::Clone`] publish path, and compatibility surface for
-    /// callers that want a plain `HashMap`.
+    /// Deep-clones the store into a flat value map, for callers that
+    /// want a plain `HashMap` (and the clone-the-world arm of the
+    /// publish benchmark).
     pub fn flat_store(&self) -> HashMap<RegisterId, Value> {
         self.iter().map(|(x, e)| (*x, e.value.clone())).collect()
     }
 
     /// Deep-clones the provenance side into a flat map (registers with
-    /// unknown provenance absent, matching the old `store_src` map).
+    /// unknown provenance absent).
     pub fn flat_src(&self) -> HashMap<RegisterId, UpdateId> {
         self.iter()
             .filter_map(|(x, e)| e.src.map(|u| (*x, u)))

@@ -89,18 +89,25 @@ impl NetWorkload {
             * self.rounds as usize
     }
 
-    /// Drives the full workload through `cluster` from this thread:
-    /// rounds outermost, nodes round-robin within a round, each node's
+    /// Every write of the run as `(writer, register, value)`: rounds
+    /// outermost, nodes round-robin within a round, each node's
     /// registers in schedule order — per-node issue order (the only
-    /// order that matters for determinism) is identical on every run.
+    /// order that matters for determinism, and the one that fixes every
+    /// update id) is identical on every replay.
+    pub fn writes(&self) -> impl Iterator<Item = (ReplicaId, RegisterId, Value)> + '_ {
+        (0..self.rounds).flat_map(move |round| {
+            self.per_node.iter().enumerate().flat_map(move |(i, regs)| {
+                regs.iter()
+                    .map(move |&x| (ReplicaId::new(i as u32), x, write_value(x, round)))
+            })
+        })
+    }
+
+    /// Drives the full workload through `cluster` from this thread, in
+    /// [`writes`](Self::writes) order.
     pub fn drive(&self, cluster: &ThreadedCluster) {
-        for round in 0..self.rounds {
-            for (i, regs) in self.per_node.iter().enumerate() {
-                let r = ReplicaId::new(i as u32);
-                for &x in regs {
-                    cluster.write(r, x, write_value(x, round));
-                }
-            }
+        for (r, x, v) in self.writes() {
+            cluster.write(r, x, v);
         }
     }
 }

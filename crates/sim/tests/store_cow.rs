@@ -1,15 +1,17 @@
-//! Differential test: the sharded copy-on-write snapshot store against
-//! the clone-the-world oracle (`StoreMode::Clone`).
+//! Differential test: the threaded runtime's published snapshots against
+//! the lockstep [`System`] oracle.
 //!
-//! The COW store is a pure representation change — publishes rebuild
-//! only the shards touched since the last publish instead of cloning
-//! the whole register map. Nothing observable may move: the same
-//! single-writer workload driven through both modes (and through both
-//! replica-loop shapes, pipelined and inline) must end in byte-identical
-//! canonical stores on every replica, identical applied frontiers,
-//! identical `covers()` verdicts over a grid of update ids, and the same
-//! clean causal-consistency verdict. The serving tier re-runs its own
-//! session-guarantee checker under both modes.
+//! The threaded runtime publishes O(Δ) copy-on-write views from one
+//! replica loop whose I/O half runs on its own thread (no WAL) or inline
+//! on the apply thread (WAL armed). None of that may be observable: the
+//! same single-writer workload, replayed through the lockstep `System`
+//! in the same per-issuer order (so every update id matches), must end
+//! in byte-identical canonical stores (values and provenance) on every
+//! replica, identical applied frontiers, identical `covers()` verdicts
+//! over a grid of update ids, and the same clean causal-consistency
+//! verdict — under both I/O placements, with and without faults. The
+//! serving tier re-runs its own session-guarantee checker under both
+//! placements.
 //!
 //! A separate non-vacuity test pins the mechanism itself: consecutive
 //! published views of a many-register store must share the `Arc`s of
@@ -17,16 +19,21 @@
 //! degrades to cloning everything, the O(Δ) claim is silently gone and
 //! this test, not a benchmark, catches it.
 
-use prcc_checker::UpdateId;
-use prcc_core::{ClusterConfig, StoreMode, ThreadedCluster, Value};
+use prcc_checker::{Event, UpdateId};
+use prcc_core::{ClusterConfig, ReplicaView, System, ThreadedCluster, Value};
 use prcc_net::{DelayModel, FaultPlan, FaultSchedule, SessionConfig};
 use prcc_sharegraph::{topology, RegisterId, ReplicaId, ShareGraph};
 use prcc_sim::netrun::{store_lines, NetWorkload};
 use prcc_sim::serving::{run_serving_scenario, ServingScenarioConfig};
 use proptest::prelude::*;
 
+/// The two places a replica's I/O half runs, as the durability setting
+/// selects them: its own `io-N` thread (no WAL) or the apply thread (a
+/// WAL compacting every 16 entries).
+const PLACEMENTS: [Option<usize>; 2] = [None, Some(16)];
+
 /// Everything observable about a finished run, canonicalised for
-/// cross-mode comparison.
+/// comparison with the oracle.
 #[derive(Debug, PartialEq, Eq)]
 struct Observed {
     /// Per-replica canonical store lines (value + provenance, sorted).
@@ -35,8 +42,37 @@ struct Observed {
     frontiers: Vec<Vec<u64>>,
     /// Per-replica `covers()` verdicts over a fixed grid of update ids.
     covers: Vec<Vec<bool>>,
-    /// Causal-consistency verdict of the merged trace.
+    /// Causal-consistency verdict of the trace.
     consistent: bool,
+}
+
+impl Observed {
+    /// Canonicalises one view per replica. The `covers()` grid crosses
+    /// every issuer with every seq up to one past the largest any
+    /// workload issuer reaches.
+    fn new(g: &ShareGraph, wl: &NetWorkload, views: &[ReplicaView], consistent: bool) -> Self {
+        let max_seq = g
+            .replicas()
+            .map(|r| wl.registers_of(r).len() as u64 * wl.rounds())
+            .max()
+            .unwrap_or(0);
+        Observed {
+            stores: views.iter().map(store_lines).collect(),
+            frontiers: views.iter().map(|v| v.frontier().to_vec()).collect(),
+            covers: views
+                .iter()
+                .map(|v| {
+                    g.replicas()
+                        .flat_map(|issuer| {
+                            (0..=max_seq + 1).map(move |seq| UpdateId { issuer, seq })
+                        })
+                        .map(|u| v.covers(u))
+                        .collect()
+                })
+                .collect(),
+            consistent,
+        }
+    }
 }
 
 /// Fast session config for `DelayModel::Fixed(1)` runs: round trips are
@@ -51,16 +87,55 @@ fn quick_session() -> SessionConfig {
     }
 }
 
-/// One deterministic single-writer run; the workload (and therefore the
-/// final store on every replica) is a pure function of `g` and
-/// `rounds`, independent of mode, loop shape, timing, and healed faults.
-fn run_one(
+/// The oracle: the workload replayed through the lockstep `System` to
+/// quiescence. Its views are captured from the final replicas with the
+/// frontier the trace implies (every update a replica issued or
+/// applied, per issuer).
+fn lockstep(
     g: &ShareGraph,
-    rounds: u64,
+    wl: &NetWorkload,
     seed: u64,
-    store: StoreMode,
-    pipeline: bool,
-    schedule: FaultSchedule,
+    schedule: &FaultSchedule,
+    session: Option<SessionConfig>,
+) -> Observed {
+    let mut builder = System::builder(g.clone())
+        .delay(DelayModel::Fixed(1))
+        .seed(seed)
+        .fault_schedule(schedule.clone());
+    if let Some(cfg) = session {
+        builder = builder.session(cfg);
+    }
+    let mut sys = builder.build();
+    for (r, x, v) in wl.writes() {
+        sys.write(r, x, v);
+    }
+    sys.run_to_quiescence();
+    let n = g.num_replicas();
+    let mut frontiers = vec![vec![0u64; n]; n];
+    for ev in sys.trace().events() {
+        let (at, u) = match *ev {
+            Event::Issue { update, .. } => (update.issuer, update),
+            Event::Apply { update, at } => (at, update),
+        };
+        let f = &mut frontiers[at.index()][u.issuer.index()];
+        *f = (*f).max(u.seq + 1);
+    }
+    let views: Vec<ReplicaView> = g
+        .replicas()
+        .zip(frontiers)
+        .map(|(r, f)| ReplicaView::capture(sys.replica(r), f))
+        .collect();
+    Observed::new(g, wl, &views, sys.check().is_consistent())
+}
+
+/// One threaded run of the workload, observed through the published
+/// snapshots.
+fn threaded(
+    g: &ShareGraph,
+    wl: &NetWorkload,
+    seed: u64,
+    durability: Option<usize>,
+    schedule: &FaultSchedule,
     session: Option<SessionConfig>,
 ) -> Observed {
     let cluster = ThreadedCluster::with_config(
@@ -68,122 +143,105 @@ fn run_one(
         DelayModel::Fixed(1),
         seed,
         ClusterConfig {
-            store,
-            pipeline,
-            schedule,
+            schedule: schedule.clone(),
             session,
+            durability,
             ..Default::default()
         },
     );
-    let wl = NetWorkload::new(g, rounds);
     wl.drive(&cluster);
     cluster.settle();
-
-    // Grid of update ids for covers(): every issuer crossed with every
-    // seq up to one past the largest any workload issuer can reach.
-    let max_seq = g
+    let views: Vec<ReplicaView> = g
         .replicas()
-        .map(|r| wl.registers_of(r).len() as u64 * rounds)
-        .max()
-        .unwrap_or(0);
-    let mut stores = Vec::new();
-    let mut frontiers = Vec::new();
-    let mut covers = Vec::new();
-    for r in g.replicas() {
-        let view = cluster.store_snapshot(r);
-        stores.push(store_lines(&view));
-        frontiers.push(view.frontier().to_vec());
-        let mut verdicts = Vec::new();
-        for issuer in g.replicas() {
-            for seq in 0..=max_seq + 1 {
-                verdicts.push(view.covers(UpdateId { issuer, seq }));
-            }
-        }
-        covers.push(verdicts);
-    }
+        .map(|r| (*cluster.store_snapshot(r)).clone())
+        .collect();
     let consistent = cluster.check().is_consistent();
     cluster.shutdown();
-    Observed {
-        stores,
-        frontiers,
-        covers,
-        consistent,
-    }
+    Observed::new(g, wl, &views, consistent)
 }
 
-/// Runs the same workload through Clone and COW, each with the pipelined
-/// and the inline loop, and asserts all four observations are identical
-/// and consistent.
-fn assert_modes_agree(
+/// Runs the workload through the lockstep oracle and through the
+/// threaded runtime under both I/O placements, and asserts every
+/// observation is identical and consistent.
+fn assert_matches_lockstep(
     g: &ShareGraph,
     rounds: u64,
     seed: u64,
     schedule: &FaultSchedule,
     session: Option<SessionConfig>,
 ) {
-    let oracle = run_one(
-        g,
-        rounds,
-        seed,
-        StoreMode::Clone,
-        false,
-        schedule.clone(),
-        session,
-    );
-    assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-    for (store, pipeline) in [
-        (StoreMode::Clone, true),
-        (StoreMode::Cow, false),
-        (StoreMode::Cow, true),
-    ] {
-        let subject = run_one(g, rounds, seed, store, pipeline, schedule.clone(), session);
+    let wl = NetWorkload::new(g, rounds);
+    let oracle = lockstep(g, &wl, seed, schedule, session);
+    assert!(oracle.consistent, "lockstep oracle trace inconsistent");
+    for durability in PLACEMENTS {
+        let subject = threaded(g, &wl, seed, durability, schedule, session);
         assert_eq!(
             subject, oracle,
-            "{store:?} pipeline={pipeline} diverged from the clone/inline oracle"
+            "durability={durability:?} diverged from the lockstep oracle"
         );
     }
 }
 
 #[test]
-fn ring_benign_modes_agree() {
+fn ring_benign_matches_lockstep() {
     let g = topology::ring(5);
-    assert_modes_agree(&g, 3, 11, &FaultSchedule::none(), None);
+    assert_matches_lockstep(&g, 3, 11, &FaultSchedule::none(), None);
 }
 
 #[test]
-fn clique_benign_modes_agree() {
+fn clique_benign_matches_lockstep() {
     let g = topology::clique_full(4, 24);
-    assert_modes_agree(&g, 2, 7, &FaultSchedule::none(), None);
+    assert_matches_lockstep(&g, 2, 7, &FaultSchedule::none(), None);
 }
 
 #[test]
-fn ring_with_drops_and_session_modes_agree() {
+fn ring_with_drops_and_session_matches_lockstep() {
     let g = topology::ring(4);
     let schedule = FaultSchedule::from_plan(FaultPlan::dropping(0.25));
-    assert_modes_agree(&g, 3, 23, &schedule, Some(quick_session()));
+    assert_matches_lockstep(&g, 3, 23, &schedule, Some(quick_session()));
 }
 
 #[test]
-fn clique_with_outage_and_session_modes_agree() {
+fn clique_with_outage_and_session_matches_lockstep() {
     let g = topology::clique_full(4, 12);
     let schedule = FaultSchedule::none()
         .outage(ReplicaId::new(0), ReplicaId::new(1), 20, 300)
         .outage(ReplicaId::new(2), ReplicaId::new(3), 50, 250);
-    assert_modes_agree(&g, 2, 31, &schedule, Some(quick_session()));
+    assert_matches_lockstep(&g, 2, 31, &schedule, Some(quick_session()));
+}
+
+/// The WAL-armed arm on its own, under every fault at once: the inline
+/// I/O half must log own writes, sends and deliveries, ack only after
+/// the WAL write, and still converge to the oracle's world through drops,
+/// a link outage and session retransmission.
+#[test]
+fn wal_armed_with_drops_outage_and_session_matches_lockstep() {
+    let g = topology::ring(5);
+    let wl = NetWorkload::new(&g, 3);
+    let schedule = FaultSchedule::from_plan(FaultPlan::dropping(0.2)).outage(
+        ReplicaId::new(1),
+        ReplicaId::new(2),
+        10,
+        200,
+    );
+    let session = Some(quick_session());
+    let oracle = lockstep(&g, &wl, 41, &schedule, session);
+    assert!(oracle.consistent, "lockstep oracle trace inconsistent");
+    let subject = threaded(&g, &wl, 41, Some(4), &schedule, session);
+    assert_eq!(subject, oracle, "WAL-armed run diverged from the oracle");
 }
 
 proptest! {
-    /// Benign runs across graph shapes, sizes, rounds and seeds: every
-    /// mode × loop combination observes the same world as the clone /
-    /// inline oracle. One subject per case (the combo index) keeps each
-    /// case at two cluster runs.
+    /// Benign runs across graph shapes, sizes, rounds and seeds: both
+    /// I/O placements observe the same world as the lockstep oracle. One
+    /// placement per case keeps each case at one threaded run.
     #[test]
-    fn modes_agree_across_workloads(
+    fn placements_match_lockstep_across_workloads(
         ring in 0usize..2,
         n in 3usize..6,
         registers in 4usize..32,
         rounds in 1u64..3,
-        combo in 0usize..3,
+        placement in 0usize..2,
         seed in 0u64..1_000,
     ) {
         let g = if ring == 1 {
@@ -191,31 +249,26 @@ proptest! {
         } else {
             topology::clique_full(n, registers)
         };
-        let (store, pipeline) = [
-            (StoreMode::Clone, true),
-            (StoreMode::Cow, false),
-            (StoreMode::Cow, true),
-        ][combo];
-        let oracle = run_one(
-            &g, rounds, seed, StoreMode::Clone, false, FaultSchedule::none(), None,
-        );
-        prop_assert!(oracle.consistent, "clone-mode oracle trace inconsistent");
-        let subject = run_one(&g, rounds, seed, store, pipeline, FaultSchedule::none(), None);
+        let wl = NetWorkload::new(&g, rounds);
+        let none = FaultSchedule::none();
+        let oracle = lockstep(&g, &wl, seed, &none, None);
+        prop_assert!(oracle.consistent, "lockstep oracle trace inconsistent");
+        let durability = PLACEMENTS[placement];
+        let subject = threaded(&g, &wl, seed, durability, &none, None);
         prop_assert_eq!(
             subject, oracle,
-            "{:?} pipeline={} diverged from the clone/inline oracle", store, pipeline
+            "durability={:?} diverged from the lockstep oracle", durability
         );
     }
 }
 
-/// The serving tier's own differential: identical scenario, both store
-/// modes, judged by the causal-consistency check *and* the session
-/// guarantee checker. COW must not open a window where a completed
-/// write is invisible to its own session (the checker counts that as a
-/// read-your-writes violation).
+/// The serving tier's own check under both I/O placements, judged by
+/// the causal-consistency check *and* the session-guarantee checker. A
+/// completed write must never be invisible to its own session (the
+/// checker counts that as a read-your-writes violation).
 #[test]
-fn serving_session_guarantees_hold_in_both_modes() {
-    for store in [StoreMode::Clone, StoreMode::Cow] {
+fn serving_session_guarantees_hold_under_both_placements() {
+    for durability in PLACEMENTS {
         let report = run_serving_scenario(
             &topology::clique_full(4, 8),
             &ServingScenarioConfig {
@@ -225,14 +278,17 @@ fn serving_session_guarantees_hold_in_both_modes() {
                 write_ratio: 0.4,
                 zipf_theta: 0.9,
                 seed: 17,
-                store,
+                durability,
                 ..Default::default()
             },
         );
-        assert!(report.consistent, "{store:?}: trace inconsistent: {report}");
+        assert!(
+            report.consistent,
+            "durability={durability:?}: trace inconsistent: {report}"
+        );
         assert_eq!(
             report.session_violations, 0,
-            "{store:?}: session guarantees violated: {report}"
+            "durability={durability:?}: session guarantees violated: {report}"
         );
     }
 }
@@ -244,73 +300,51 @@ fn serving_session_guarantees_hold_in_both_modes() {
 /// views — this is the O(Δ) mechanism itself, not a proxy metric.
 #[test]
 fn consecutive_publishes_alias_unchanged_shards() {
-    let g = topology::clique_full(2, 2048);
-    let cluster = ThreadedCluster::new(g, DelayModel::Fixed(1), 3);
-    let r0 = ReplicaId::new(0);
-    cluster.write(r0, RegisterId::new(0), Value::from(1u64));
-    cluster.settle();
-    let before = cluster.store_snapshot(r0);
-    cluster.write(r0, RegisterId::new(1), Value::from(2u64));
-    cluster.settle();
-    let after = cluster.store_snapshot(r0);
-    let (aliased, total) = after
-        .shards_shared_with(&before)
-        .expect("default mode publishes sharded views");
-    assert!(total >= 64, "2048 registers must spread over many shards");
-    assert!(
-        aliased >= total - 1,
-        "one write may dirty one shard, yet only {aliased}/{total} aliased"
-    );
-    assert!(aliased < total, "the written shard must have been rebuilt");
-    cluster.shutdown();
-}
-
-/// Clone-mode views are flat maps — the aliasing probe reports `None`
-/// rather than a vacuously passing (0, 0).
-#[test]
-fn clone_mode_views_do_not_alias() {
-    let g = topology::clique_full(2, 64);
-    let cluster = ThreadedCluster::with_config(
-        g,
-        DelayModel::Fixed(1),
-        4,
-        ClusterConfig {
-            store: StoreMode::Clone,
-            ..Default::default()
-        },
-    );
-    let r0 = ReplicaId::new(0);
-    cluster.write(r0, RegisterId::new(0), Value::from(9u64));
-    cluster.settle();
-    let a = cluster.store_snapshot(r0);
-    cluster.write(r0, RegisterId::new(1), Value::from(10u64));
-    cluster.settle();
-    let b = cluster.store_snapshot(r0);
-    assert_eq!(b.shards_shared_with(&a), None);
-    cluster.shutdown();
+    for durability in PLACEMENTS {
+        let g = topology::clique_full(2, 2048);
+        let cluster = ThreadedCluster::with_config(
+            g,
+            DelayModel::Fixed(1),
+            3,
+            ClusterConfig {
+                durability,
+                ..Default::default()
+            },
+        );
+        let r0 = ReplicaId::new(0);
+        cluster.write(r0, RegisterId::new(0), Value::from(1u64));
+        cluster.settle();
+        let before = cluster.store_snapshot(r0);
+        cluster.write(r0, RegisterId::new(1), Value::from(2u64));
+        cluster.settle();
+        let after = cluster.store_snapshot(r0);
+        let (aliased, total) = after.shards_shared_with(&before);
+        assert!(total >= 64, "2048 registers must spread over many shards");
+        assert!(
+            aliased >= total - 1,
+            "durability={durability:?}: one write may dirty one shard, yet only \
+             {aliased}/{total} aliased"
+        );
+        assert!(aliased < total, "the written shard must have been rebuilt");
+        cluster.shutdown();
+    }
 }
 
 /// Read-your-writes across the burst-publish path: a completion token
 /// must never escape before the publish that makes the write visible.
 /// Every `write` and every id of a `write_burst` must be covered by the
-/// very next snapshot taken — under both store modes and both loop
-/// shapes, with concurrent writers hammering the same replicas.
+/// very next snapshot taken — under both I/O placements, with
+/// concurrent writers hammering the same replicas.
 #[test]
 fn completed_writes_are_immediately_visible() {
-    for (store, pipeline) in [
-        (StoreMode::Cow, true),
-        (StoreMode::Cow, false),
-        (StoreMode::Clone, true),
-        (StoreMode::Clone, false),
-    ] {
+    for durability in PLACEMENTS {
         let g = topology::clique_full(3, 16);
         let cluster = ThreadedCluster::with_config(
             g.clone(),
             DelayModel::Fixed(1),
             5,
             ClusterConfig {
-                store,
-                pipeline,
+                durability,
                 ..Default::default()
             },
         );
@@ -323,7 +357,7 @@ fn completed_writes_are_immediately_visible() {
                         let uid = cluster.write(r, x, Value::from(i));
                         assert!(
                             cluster.store_snapshot(r).covers(uid),
-                            "{store:?} pipeline={pipeline}: write token escaped \
+                            "durability={durability:?}: write token escaped \
                              before its publish"
                         );
                     }
@@ -335,7 +369,7 @@ fn completed_writes_are_immediately_visible() {
                     for uid in ids {
                         assert!(
                             view.covers(uid),
-                            "{store:?} pipeline={pipeline}: burst token escaped \
+                            "durability={durability:?}: burst token escaped \
                              before its publish"
                         );
                     }
