@@ -86,12 +86,11 @@ pub fn run() -> Experiment {
     all_consistent &= edge_t.consistent && vc_t.consistent;
 
     // Wire-codec ablation on the tree: the same edge-indexed run under
-    // raw, projected, and compressed metadata framing. `meta bytes` is
+    // raw and compressed metadata framing. `meta bytes` is
     // what each mode actually put on the wire.
     let mut wire_bytes = std::collections::HashMap::new();
     for (label, mode) in [
         ("tree [wire=raw]", WireMode::Raw),
-        ("tree [wire=projected]", WireMode::Projected),
         ("tree [wire=compressed]", WireMode::Compressed),
     ] {
         let r = run_scenario(
@@ -124,9 +123,8 @@ pub fn run() -> Experiment {
         wire_bytes.insert(mode, r.metadata_bytes);
     }
     e.check(
-        wire_bytes[&WireMode::Projected] <= wire_bytes[&WireMode::Raw]
-            && wire_bytes[&WireMode::Compressed] < wire_bytes[&WireMode::Projected],
-        "wire codec: compressed < projected ≤ raw metadata bytes on the tree",
+        wire_bytes[&WireMode::Compressed] < wire_bytes[&WireMode::Raw],
+        "wire codec: compressed < raw metadata bytes on the tree",
     );
 
     // Third comparator: Full-Track-style explicit dependency lists at two

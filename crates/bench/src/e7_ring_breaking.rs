@@ -3,7 +3,7 @@
 //! register pay multi-hop propagation latency.
 
 use crate::table::Experiment;
-use prcc_core::{RoutedRing, System, TrackerKind, Value};
+use prcc_core::{RoutedSystem, System, TrackerKind, Value};
 use prcc_net::DelayModel;
 use prcc_sharegraph::{topology, LoopConfig, RegisterId, ReplicaId};
 
@@ -37,7 +37,7 @@ fn measure(n: usize, seed: u64) -> (DeploymentSample, DeploymentSample) {
     );
 
     // Broken ring.
-    let mut routed = RoutedRing::new(n, DelayModel::Fixed(5), seed);
+    let mut routed = RoutedSystem::ring(n, DelayModel::Fixed(5), seed);
     for round in 0..writes_per_reg {
         for i in 0..n as u32 {
             routed.write(ReplicaId::new(i), RegisterId::new(i), Value::from(round));

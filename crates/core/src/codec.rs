@@ -9,15 +9,13 @@
 //! * [`WireMode::Raw`] — ship the full timestamp, fixed 8 bytes per
 //!   counter. The differential-testing oracle, mirroring
 //!   [`PendingMode::Scan`](crate::PendingMode).
-//! * [`WireMode::Projected`] — ship only the common-edge slice
-//!   `E_i ∩ E_k` the receiver's `merge`/`J` read, still 8 bytes per
-//!   counter.
-//! * [`WireMode::Compressed`] (default) — project, drop the linearly
+//! * [`WireMode::Compressed`] (default) — project to the common-edge
+//!   slice `E_i ∩ E_k` the receiver's `merge`/`J` read, drop the linearly
 //!   derived counters of the sender's own outgoing edges (Section 5),
 //!   and frame the rest as zig-zag varint deltas against the previous
 //!   frame on the same pair stream.
 //! * [`WireMode::Adaptive`] — start every pair compressed, then fall
-//!   back Compressed → Projected → Raw per pair when the modelled CPU
+//!   back Compressed → Raw per pair when the modelled CPU
 //!   cost of encoding exceeds the modelled value of the bytes saved
 //!   (see [`AdaptiveConfig`]).
 //!
@@ -69,12 +67,11 @@ use std::sync::Arc;
 pub enum WireMode {
     /// Full timestamp, fixed layout — the differential-testing oracle.
     Raw,
-    /// Per-pair projection to `E_i ∩ E_k`, fixed 8 bytes per counter.
-    Projected,
-    /// Projection + derived-row compression + delta/varint framing.
+    /// Projection to `E_i ∩ E_k` + derived-row compression +
+    /// delta/varint framing.
     #[default]
     Compressed,
-    /// Per-pair cost-based fallback Compressed → Projected → Raw.
+    /// Per-pair cost-based fallback Compressed → Raw.
     Adaptive,
 }
 
@@ -134,16 +131,15 @@ pub struct CodecStats {
     /// Pairs demoted to explicit rows after a derived-row verification
     /// failure (a malformed layout; never the registry's own).
     pub demotions: usize,
-    /// Pairs the adaptive policy walked down the fallback chain.
+    /// Pairs the adaptive policy demoted to raw.
     pub adaptive_fallbacks: usize,
 }
 
-/// The mode a pair is currently running (fixed for Raw/Projected/
-/// Compressed codecs; per-pair under Adaptive).
+/// The mode a pair is currently running (fixed for Raw/Compressed
+/// codecs; per-pair under Adaptive).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum PairPath {
     Compressed,
-    Projected,
     Raw,
 }
 
@@ -207,8 +203,8 @@ impl fmt::Debug for WireCodec {
 }
 
 impl WireCodec {
-    /// Creates a codec. `registry` is required for the projected,
-    /// compressed and adaptive modes to do anything; without it
+    /// Creates a codec. `registry` is required for the compressed and
+    /// adaptive modes to do anything; without it
     /// (vector-clock or dependency-list deployments) every mode degrades
     /// to raw pass-through.
     pub fn new(mode: WireMode, registry: Option<Arc<TsRegistry>>) -> Self {
@@ -289,7 +285,6 @@ impl WireCodec {
         // (layout, state) seen. Tiny in practice: one entry on cliques,
         // a handful under mixed placements.
         let mut comp_groups: Vec<GroupFrame> = Vec::new();
-        let mut proj_groups: Vec<(Arc<PairLayout>, Arc<Metadata>)> = Vec::new();
 
         for &dst in recipients {
             if !self.streams.contains_key(&(sender, dst)) {
@@ -303,16 +298,12 @@ impl WireCodec {
                         .entry(layout.num_explicit())
                         .or_insert_with(|| Arc::new(vec![0; layout.num_explicit()])),
                 );
-                let path = match self.mode {
-                    WireMode::Projected => PairPath::Projected,
-                    _ => PairPath::Compressed,
-                };
                 self.streams.insert(
                     (sender, dst),
                     PairStream {
                         layout,
                         state,
-                        path,
+                        path: PairPath::Compressed,
                         frames: 0,
                         own_encodes: 0,
                         comp_bytes: 0,
@@ -324,27 +315,6 @@ impl WireCodec {
             self.stats.frames += 1;
             match stream.path {
                 PairPath::Raw => out.push(Arc::clone(meta)),
-                PairPath::Projected => {
-                    let m = match proj_groups
-                        .iter()
-                        .find(|(l, _)| Arc::ptr_eq(l, &stream.layout))
-                    {
-                        Some((_, m)) => {
-                            self.stats.shared_frames += 1;
-                            Arc::clone(m)
-                        }
-                        None => {
-                            let values = stream.layout.project(full);
-                            let m = Arc::new(Metadata::Projected {
-                                encoded_len: values.len() * 8,
-                                values,
-                            });
-                            proj_groups.push((Arc::clone(&stream.layout), Arc::clone(&m)));
-                            m
-                        }
-                    };
-                    out.push(m);
-                }
                 PairPath::Compressed => {
                     let shared = comp_groups.iter().find(|g| {
                         Arc::ptr_eq(&g.layout, &stream.layout)
@@ -423,8 +393,8 @@ impl WireCodec {
                     stream.comp_bytes += len as u64;
                     if !stream.decided && stream.frames >= self.adaptive.probe_frames {
                         stream.decided = true;
-                        if let Some(path) = adaptive_fallback(stream, full.len(), &self.adaptive) {
-                            stream.path = path;
+                        if falls_back(stream, full.len(), &self.adaptive) {
+                            stream.path = PairPath::Raw;
                             self.stats.adaptive_fallbacks += 1;
                         }
                     }
@@ -435,15 +405,11 @@ impl WireCodec {
     }
 }
 
-/// The adaptive decision for one pair after its probe window: returns the
-/// fallback path, or `None` to stay compressed. Deterministic — driven
+/// The adaptive decision for one pair after its probe window: `true` to
+/// fall back to raw, `false` to stay compressed. Deterministic — driven
 /// entirely by layout shape, observed frame bytes, and the observed
 /// encode-sharing factor.
-fn adaptive_fallback(
-    stream: &PairStream,
-    full_len: usize,
-    cfg: &AdaptiveConfig,
-) -> Option<PairPath> {
+fn falls_back(stream: &PairStream, full_len: usize, cfg: &AdaptiveConfig) -> bool {
     let frames = stream.frames as f64;
     // Fraction of frames this pair actually paid an encode for; the rest
     // rode a group leader's varint pass.
@@ -453,15 +419,8 @@ fn adaptive_fallback(
     let wire = cfg.ns_per_wire_byte;
     let comp_cpu = paid * (cfg.ns_per_varint * explicit + cfg.ns_per_gather * common);
     let comp = comp_cpu + wire * (stream.comp_bytes as f64 / frames);
-    let proj = paid * cfg.ns_per_gather * common + wire * 8.0 * common;
     let raw = wire * 8.0 * full_len as f64;
-    if comp <= proj && comp <= raw {
-        None
-    } else if proj <= raw {
-        Some(PairPath::Projected)
-    } else {
-        Some(PairPath::Raw)
-    }
+    comp > raw
 }
 
 #[cfg(test)]
@@ -691,7 +650,7 @@ mod tests {
     #[test]
     fn adaptive_falls_back_when_bytes_are_cheap() {
         // With wire bytes valued at ~0 the CPU tax can never pay off:
-        // every pair must walk down the fallback chain to raw.
+        // every pair must fall back to raw.
         let g = topology::ring(6);
         let reg = registry(&g);
         let (s, r) = (ReplicaId::new(0), ReplicaId::new(1));

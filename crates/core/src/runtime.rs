@@ -316,6 +316,7 @@ impl ReplicaView {
     }
 
     /// The published value of `x`, if any.
+    #[inline]
     pub fn get(&self, x: &RegisterId) -> Option<&Value> {
         self.shards.get(*x)
     }
@@ -383,6 +384,7 @@ impl SnapshotCell {
         self.version.fetch_add(1, Ordering::Release);
     }
 
+    #[inline]
     fn load(&self) -> Arc<ReplicaView> {
         Arc::clone(&self.view.read())
     }
@@ -807,6 +809,10 @@ impl ThreadedCluster {
 
     /// The full immutable [`ReplicaView`] currently published by `r`
     /// (store, provenance, and applied frontier, captured atomically).
+    // The read path (this, `SnapshotCell::load`, `ReplicaView::get`) is
+    // inlined into callers in other crates: as out-of-line calls its p90
+    // moved by 25–40 % with the code layout of unrelated modules.
+    #[inline]
     pub fn store_snapshot(&self, r: ReplicaId) -> Arc<ReplicaView> {
         self.snapshots[r.index()].load()
     }

@@ -52,6 +52,7 @@ type Shard = HashMap<RegisterId, Entry>;
 /// registers 0..k) don't alias into one shard, then mask into the
 /// power-of-two shard array. Using the high bits avoids a variable
 /// shift that would be UB-adjacent for the 1-shard store.
+#[inline]
 fn shard_index(x: RegisterId, mask: u64) -> usize {
     ((u64::from(x.raw()).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 32) & mask) as usize
 }
@@ -173,6 +174,7 @@ pub struct SharedShards {
 
 impl SharedShards {
     /// The register's value at publish time.
+    #[inline]
     pub fn get(&self, x: RegisterId) -> Option<&Value> {
         self.shards[shard_index(x, self.mask)]
             .get(&x)

@@ -8,7 +8,7 @@
 //! count — while evaluating the predicate at most as often.
 //!
 //! Analogously, [`WireMode::Raw`] (full timestamps on the wire) is the
-//! oracle for [`WireMode::Projected`] and [`WireMode::Compressed`]: the
+//! oracle for [`WireMode::Compressed`] and [`WireMode::Adaptive`]: the
 //! per-pair projected/derived/delta-framed metadata must produce the same
 //! traces, stores, and checker verdicts while never putting more metadata
 //! bytes on the wire.
@@ -118,13 +118,6 @@ fn assert_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
 /// that the compressed mode's wire bytes never exceed raw's.
 fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
     let (raw, _) = run_wire(g, tracker, PendingMode::default(), WireMode::Raw, seed);
-    let (proj, _) = run_wire(
-        g,
-        tracker,
-        PendingMode::default(),
-        WireMode::Projected,
-        seed,
-    );
     let (comp, _) = run_wire(
         g,
         tracker,
@@ -134,7 +127,7 @@ fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
     );
     let (adapt, _) = run_wire(g, tracker, PendingMode::default(), WireMode::Adaptive, seed);
 
-    for other in [&proj, &comp, &adapt] {
+    for other in [&comp, &adapt] {
         // Identical event (issue + apply) sequences.
         prop_assert_eq!(raw.trace().events(), other.trace().events());
         // Identical stores and pending buffers at every replica.
@@ -159,20 +152,15 @@ fn assert_wire_equivalent(g: &ShareGraph, tracker: TrackerKind, seed: u64) {
         prop_assert_eq!(raw.stuck_pending(), other.stuck_pending());
     }
 
-    // Projection can only shrink metadata; compression can only shrink it
-    // further (derived rows dropped, deltas varint-framed).
-    let (rb, pb, cb) = (
-        raw.metrics().metadata_bytes,
-        proj.metrics().metadata_bytes,
-        comp.metrics().metadata_bytes,
-    );
-    prop_assert!(pb <= rb, "projected {} > raw {}", pb, rb);
-    prop_assert!(cb <= pb, "compressed {} > projected {}", cb, pb);
+    // Compression can only shrink metadata (projection, derived rows
+    // dropped, deltas varint-framed).
+    let (rb, cb) = (raw.metrics().metadata_bytes, comp.metrics().metadata_bytes);
+    prop_assert!(cb <= rb, "compressed {} > raw {}", cb, rb);
     // Adaptive only ever falls back toward raw, never past it.
     let ab = adapt.metrics().metadata_bytes;
     prop_assert!(ab <= rb, "adaptive {} > raw {}", ab, rb);
     // Registry-built layouts verify at construction: no run may demote.
-    for sys in [&raw, &proj, &comp, &adapt] {
+    for sys in [&raw, &comp, &adapt] {
         prop_assert_eq!(sys.net_stats().codec_demotions, 0);
     }
 }

@@ -20,8 +20,8 @@
 //!   a torn-down connection was carrying.
 //! * **Write coalescing** — each peer has a writer thread that drains its
 //!   outbox and writes many frames per `write(2)`. `coalesce: false`
-//!   issues one write per frame (the syscalls/update baseline the
-//!   `net_report` bench compares against).
+//!   issues one write per frame (the syscalls/update baseline that
+//!   write coalescing is measured against).
 //! * **Reconnect with backoff** — outbound connections retry with
 //!   exponential backoff; messages queued or in flight across a
 //!   disconnect are simply lost here and repaired by the session layer,
@@ -38,7 +38,7 @@ use crate::sim_net::Envelope;
 use crate::transport::Transport;
 use crossbeam::channel::{bounded, Receiver, RecvTimeoutError, Sender, TrySendError};
 use prcc_sharegraph::ReplicaId;
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -306,7 +306,8 @@ pub struct TcpStatsSnapshot {
     pub reconnects: u64,
     /// Messages shed because a peer outbox was full or closed.
     pub shed_outbound: u64,
-    /// Frames rejected by the payload codec (connection torn down).
+    /// Frames rejected by the payload codec, and handshakes rejected as
+    /// malformed or from outside the peer set (connection torn down).
     pub decode_errors: u64,
 }
 
@@ -422,7 +423,8 @@ impl<M> fmt::Debug for TcpEndpoint<M> {
 impl<M: Send + 'static> TcpEndpoint<M> {
     /// Starts serving on a previously bound listener, connecting out to
     /// `peers` lazily (each peer's writer connects on first send, with
-    /// backoff until the peer is up).
+    /// backoff until the peer is up). Inbound connections are accepted
+    /// only from replicas in `peers`.
     pub fn start(
         bound: BoundListener,
         peers: HashMap<ReplicaId, SocketAddr>,
@@ -452,7 +454,12 @@ impl<M: Send + 'static> TcpEndpoint<M> {
             let cfg = cfg.clone();
             let counters = Arc::clone(&counters);
             let shutdown = Arc::clone(&shutdown);
-            move || acceptor_loop(id, listener, inbox_tx, cfg, codec, counters, shutdown)
+            let peers: Arc<HashSet<ReplicaId>> = Arc::new(peers.keys().copied().collect());
+            move || {
+                acceptor_loop(
+                    id, peers, listener, inbox_tx, cfg, codec, counters, shutdown,
+                )
+            }
         });
 
         let handle = TcpHandle {
@@ -541,7 +548,16 @@ fn write_handshake(stream: &mut TcpStream, src: ReplicaId, dst: ReplicaId) -> io
     stream.write_all(&hs)
 }
 
-fn read_handshake(stream: &mut TcpStream, me: ReplicaId) -> io::Result<ReplicaId> {
+/// Reads a peer's handshake and returns the sender it names. Only a
+/// configured peer may connect: any other claimed sender (this replica
+/// itself, an id past the cluster, a replica outside the peer set) would
+/// have the codec factory build per-pair state for a pair that does not
+/// exist.
+fn read_handshake(
+    stream: &mut TcpStream,
+    me: ReplicaId,
+    peers: &HashSet<ReplicaId>,
+) -> io::Result<ReplicaId> {
     let mut hs = [0u8; HANDSHAKE_LEN];
     stream.read_exact(&mut hs)?;
     if hs[..4] != HANDSHAKE_MAGIC || hs[4] != HANDSHAKE_VERSION {
@@ -555,12 +571,20 @@ fn read_handshake(stream: &mut TcpStream, me: ReplicaId) -> io::Result<ReplicaId
             "handshake addressed to another replica",
         ));
     }
-    Ok(ReplicaId::new(src))
+    let src = ReplicaId::new(src);
+    if !peers.contains(&src) {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            "handshake from a replica outside the peer set",
+        ));
+    }
+    Ok(src)
 }
 
 #[allow(clippy::too_many_arguments)]
 fn acceptor_loop<M: Send + 'static>(
     me: ReplicaId,
+    peers: Arc<HashSet<ReplicaId>>,
     listener: TcpListener,
     inbox: Sender<Envelope<M>>,
     cfg: TcpNetConfig,
@@ -576,8 +600,9 @@ fn acceptor_loop<M: Send + 'static>(
                 let codec = Arc::clone(&codec);
                 let counters = Arc::clone(&counters);
                 let shutdown = Arc::clone(&shutdown);
+                let peers = Arc::clone(&peers);
                 spawn_net_thread(format!("prcc-tcp-r{}", me.index()), move || {
-                    reader_loop(me, stream, inbox, cfg, codec, counters, shutdown)
+                    reader_loop(me, &peers, stream, inbox, cfg, codec, counters, shutdown)
                 });
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
@@ -588,8 +613,10 @@ fn acceptor_loop<M: Send + 'static>(
     }
 }
 
+#[allow(clippy::too_many_arguments)]
 fn reader_loop<M: Send + 'static>(
     me: ReplicaId,
+    peers: &HashSet<ReplicaId>,
     mut stream: TcpStream,
     inbox: Sender<Envelope<M>>,
     cfg: TcpNetConfig,
@@ -599,9 +626,14 @@ fn reader_loop<M: Send + 'static>(
 ) {
     let _ = stream.set_nodelay(true);
     let _ = stream.set_read_timeout(Some(cfg.io_timeout));
-    let src = match read_handshake(&mut stream, me) {
+    let src = match read_handshake(&mut stream, me, peers) {
         Ok(src) => src,
-        Err(_) => return,
+        Err(e) => {
+            if e.kind() == io::ErrorKind::InvalidData {
+                counters.decode_errors.fetch_add(1, Ordering::Relaxed);
+            }
+            return;
+        }
     };
     let mut link = (codec)(src);
     let mut frames = FrameBuffer::new(cfg.max_frame);

@@ -6,7 +6,7 @@
 //! cargo run --example ring_breaking
 //! ```
 
-use prcc::core::{RoutedRing, System, TrackerKind, Value};
+use prcc::core::{RoutedSystem, System, TrackerKind, Value};
 use prcc::net::DelayModel;
 use prcc::sharegraph::{topology, LoopConfig, RegisterId, ReplicaId};
 
@@ -28,7 +28,7 @@ fn main() {
 
     // Broken ring: the edge between r7 and r0 is severed; writes to their
     // shared register ride virtual registers the long way around.
-    let mut routed = RoutedRing::new(n, DelayModel::Fixed(5), 1);
+    let mut routed = RoutedSystem::ring(n, DelayModel::Fixed(5), 1);
     println!(
         "broken ring(n={n}):  counters per replica = {:?}",
         routed.timestamp_counters()
@@ -71,13 +71,14 @@ fn main() {
         routed.check().is_consistent()
     );
 
-    // The broken register still converges across the severed edge.
-    routed.write(r(0), routed.broken_register(), Value::from(12345u64));
+    // The broken register (n−1) still converges across the severed edge.
+    let broken = x((n - 1) as u32);
+    routed.write(r(0), broken, Value::from(12345u64));
     routed.run_to_quiescence();
     println!(
         "\nwrite at r0 to the broken register, read at r{}: {:?}",
         n - 1,
-        routed.read(r((n - 1) as u32), routed.broken_register())
+        routed.read(r((n - 1) as u32), broken)
     );
     assert!(plain.check().is_consistent());
     assert!(routed.check().is_consistent());

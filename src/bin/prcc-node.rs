@@ -30,7 +30,7 @@
 //! ```toml
 //! [cluster]
 //! topology = "ring:3"      # ring:n path:n star:leaves tree:n grid:wxh clique:nxr
-//! wire = "compressed"      # raw | projected | compressed | adaptive
+//! wire = "compressed"      # raw | compressed | adaptive
 //! rounds = 6               # writes per register
 //! session = true           # arm per-link retransmission (recommended)
 //!
@@ -59,7 +59,7 @@ const USAGE: &str = "prcc-node — one replica of a PRCC cluster over real TCP\n
      \n\
      driver options:\n\
      \x20  --topology <spec>     ring:n path:n star:n tree:n grid:wxh clique:nxr (default ring:<n>)\n\
-     \x20  --wire <mode>         raw | projected | compressed | adaptive (default compressed)\n\
+     \x20  --wire <mode>         raw | compressed | adaptive (default compressed)\n\
      \x20  --rounds <k>          writes per register (default 6)\n\
      \x20  --timeout-secs <s>    per-node quiescence timeout (default 60)\n";
 
@@ -110,7 +110,6 @@ fn parse_topology(spec: &str) -> Result<ShareGraph, String> {
 fn parse_wire(s: &str) -> Result<WireMode, String> {
     Ok(match s {
         "raw" => WireMode::Raw,
-        "projected" => WireMode::Projected,
         "compressed" => WireMode::Compressed,
         "adaptive" => WireMode::Adaptive,
         other => return Err(format!("unknown wire mode '{other}'")),
@@ -120,7 +119,6 @@ fn parse_wire(s: &str) -> Result<WireMode, String> {
 fn wire_name(w: WireMode) -> &'static str {
     match w {
         WireMode::Raw => "raw",
-        WireMode::Projected => "projected",
         WireMode::Compressed => "compressed",
         WireMode::Adaptive => "adaptive",
     }
@@ -143,6 +141,40 @@ fn loopback_session() -> SessionConfig {
 // and the subset (two table kinds, string/int/bool values) does not
 // justify vendoring one.
 // ---------------------------------------------------------------------------
+
+/// Why a cluster config cannot start the requested node.
+#[derive(Debug, PartialEq, Eq)]
+enum ConfigError {
+    /// A malformed line or entry, or a node count that does not match
+    /// the topology (the message says which).
+    Invalid(String),
+    /// Two `[[node]]` entries share an id.
+    DuplicateId(u32),
+    /// A node id that names no replica of the topology.
+    IdOutOfRange { id: u32, replicas: usize },
+    /// `--id` names no `[[node]]` entry.
+    NoEntry(u32),
+}
+
+impl std::fmt::Display for ConfigError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            ConfigError::Invalid(msg) => f.write_str(msg),
+            ConfigError::DuplicateId(id) => write!(f, "config has two node entries with id {id}"),
+            ConfigError::IdOutOfRange { id, replicas } => write!(
+                f,
+                "node id {id} is out of range: the topology has {replicas} replicas"
+            ),
+            ConfigError::NoEntry(id) => write!(f, "config has no node entry for id {id}"),
+        }
+    }
+}
+
+impl From<String> for ConfigError {
+    fn from(msg: String) -> Self {
+        ConfigError::Invalid(msg)
+    }
+}
 
 struct ClusterSpec {
     topology: String,
@@ -177,7 +209,7 @@ impl ClusterSpec {
     }
 }
 
-fn parse_config(text: &str) -> Result<ClusterSpec, String> {
+fn parse_config(text: &str) -> Result<ClusterSpec, ConfigError> {
     #[derive(PartialEq)]
     enum Section {
         None,
@@ -196,7 +228,7 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
         if line.is_empty() {
             continue;
         }
-        let at = |msg: String| format!("config line {}: {msg}", lineno + 1);
+        let at = |msg: String| ConfigError::Invalid(format!("config line {}: {msg}", lineno + 1));
         if line == "[cluster]" {
             section = Section::Cluster;
             continue;
@@ -213,7 +245,7 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
             .split_once('=')
             .map(|(k, v)| (k.trim(), v.trim()))
             .ok_or_else(|| at(format!("expected key = value, got '{line}'")))?;
-        let unquote = |v: &str| -> Result<String, String> {
+        let unquote = |v: &str| -> Result<String, ConfigError> {
             let inner = v
                 .strip_prefix('"')
                 .and_then(|v| v.strip_suffix('"'))
@@ -260,7 +292,8 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
         }
     }
 
-    let topology = topology_spec.ok_or("config is missing cluster.topology")?;
+    let topology = topology_spec
+        .ok_or_else(|| ConfigError::Invalid("config is missing cluster.topology".into()))?;
     let mut resolved = Vec::with_capacity(nodes.len());
     for (i, (id, addr)) in nodes.into_iter().enumerate() {
         resolved.push((
@@ -269,6 +302,9 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
         ));
     }
     resolved.sort_by_key(|(id, _)| *id);
+    if let Some(w) = resolved.windows(2).find(|w| w[0].0 == w[1].0) {
+        return Err(ConfigError::DuplicateId(w[0].0));
+    }
     Ok(ClusterSpec {
         topology,
         wire,
@@ -281,6 +317,40 @@ fn parse_config(text: &str) -> Result<ClusterSpec, String> {
 // ---------------------------------------------------------------------------
 // Node mode
 // ---------------------------------------------------------------------------
+
+/// Node `id`'s share graph, listen address and peer addresses. The
+/// config's node ids must name exactly the topology's replicas, one entry
+/// each.
+fn node_plan(
+    spec: &ClusterSpec,
+    id: u32,
+) -> Result<(ShareGraph, SocketAddr, HashMap<ReplicaId, SocketAddr>), ConfigError> {
+    let g = parse_topology(&spec.topology)?;
+    let replicas = g.num_replicas();
+    if let Some(&(id, _)) = spec.nodes.iter().find(|(i, _)| *i as usize >= replicas) {
+        return Err(ConfigError::IdOutOfRange { id, replicas });
+    }
+    if spec.nodes.len() != replicas {
+        return Err(ConfigError::Invalid(format!(
+            "config has {} node entries but topology '{}' has {replicas} replicas",
+            spec.nodes.len(),
+            spec.topology,
+        )));
+    }
+    let my_addr = spec
+        .nodes
+        .iter()
+        .find(|(i, _)| *i == id)
+        .map(|(_, a)| *a)
+        .ok_or(ConfigError::NoEntry(id))?;
+    let peers = spec
+        .nodes
+        .iter()
+        .filter(|(i, _)| *i != id)
+        .map(|(i, a)| (ReplicaId::new(*i), *a))
+        .collect();
+    Ok((g, my_addr, peers))
+}
 
 fn run_node(args: &[String]) -> i32 {
     match try_run_node(args) {
@@ -305,29 +375,9 @@ fn try_run_node(args: &[String]) -> Result<(), String> {
             .unwrap_or(60),
     );
     let text = std::fs::read_to_string(&path).map_err(|e| format!("read {path}: {e}"))?;
-    let spec = parse_config(&text)?;
-    let g = parse_topology(&spec.topology)?;
-    if spec.nodes.len() != g.num_replicas() {
-        return Err(format!(
-            "config has {} node entries but topology '{}' has {} replicas",
-            spec.nodes.len(),
-            spec.topology,
-            g.num_replicas()
-        ));
-    }
+    let spec = parse_config(&text).map_err(|e| e.to_string())?;
+    let (g, my_addr, peers) = node_plan(&spec, id).map_err(|e| e.to_string())?;
     let me = ReplicaId::new(id);
-    let my_addr = spec
-        .nodes
-        .iter()
-        .find(|(i, _)| *i == id)
-        .map(|(_, a)| *a)
-        .ok_or(format!("config has no node entry for id {id}"))?;
-    let peers: HashMap<ReplicaId, SocketAddr> = spec
-        .nodes
-        .iter()
-        .filter(|(i, _)| *i != id)
-        .map(|(i, a)| (ReplicaId::new(*i), *a))
-        .collect();
 
     let wl = NetWorkload::new(&g, spec.rounds);
     let expected = wl.expected_applies(&g, me);
@@ -692,4 +742,66 @@ fn try_run_driver(args: &[String]) -> Result<bool, String> {
     println!("  \"ok\": {ok}");
     println!("}}");
     Ok(ok)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn config(wire: &str, ids: &[u32]) -> String {
+        let mut text = format!("[cluster]\ntopology = \"ring:3\"\nwire = \"{wire}\"\n");
+        for (k, id) in ids.iter().enumerate() {
+            text.push_str(&format!(
+                "\n[[node]]\nid = {id}\naddr = \"127.0.0.1:{}\"\n",
+                47000 + k
+            ));
+        }
+        text
+    }
+
+    #[test]
+    fn well_formed_config_plans_every_node() {
+        let spec = parse_config(&config("compressed", &[2, 0, 1])).expect("valid");
+        for id in 0..3 {
+            let (g, addr, peers) = node_plan(&spec, id).expect("plannable");
+            assert_eq!(g.num_replicas(), 3);
+            assert_eq!(spec.nodes[id as usize], (id, addr));
+            assert_eq!(peers.len(), 2);
+            assert!(!peers.contains_key(&ReplicaId::new(id)));
+        }
+    }
+
+    #[test]
+    fn duplicate_node_id_is_rejected() {
+        let err = parse_config(&config("compressed", &[0, 0, 7])).err();
+        assert_eq!(err, Some(ConfigError::DuplicateId(0)));
+    }
+
+    #[test]
+    fn node_id_past_the_topology_is_rejected() {
+        let spec = parse_config(&config("compressed", &[0, 1, 7])).expect("parses");
+        for id in [0, 7] {
+            assert_eq!(
+                node_plan(&spec, id).err(),
+                Some(ConfigError::IdOutOfRange { id: 7, replicas: 3 })
+            );
+        }
+    }
+
+    #[test]
+    fn id_without_an_entry_is_rejected() {
+        let spec = parse_config(&config("compressed", &[0, 1, 2])).expect("parses");
+        assert_eq!(node_plan(&spec, 5).err(), Some(ConfigError::NoEntry(5)));
+    }
+
+    #[test]
+    fn projected_wire_mode_is_unknown() {
+        let err = parse_config(&config("projected", &[0, 1, 2])).err();
+        assert_eq!(
+            err,
+            Some(ConfigError::Invalid(
+                "config line 3: unknown wire mode 'projected'".into()
+            ))
+        );
+    }
 }

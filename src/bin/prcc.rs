@@ -32,7 +32,7 @@ fn usage() -> ! {
          \n\
          run options:\n\
            --tracker edge|vc|trunc:<l>   causality tracker (default edge)\n\
-           --wire raw|projected|compressed  metadata wire codec (default compressed)\n\
+           --wire raw|compressed         metadata wire codec (default compressed)\n\
            --writes <n>                  writes per replica (default 20)\n\
            --zipf <theta>                register skew (default 0.9)\n\
            --seed <s>                    workload/network seed (default 0)\n\
@@ -161,7 +161,6 @@ fn cmd_run(g: &ShareGraph, args: &[String]) {
         .unwrap_or(0);
     let wire_mode = match flag(args, "--wire").as_deref() {
         None | Some("compressed") => WireMode::Compressed,
-        Some("projected") => WireMode::Projected,
         Some("raw") => WireMode::Raw,
         Some(_) => usage(),
     };
